@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent
+
+for path in (HERE, PERFBENCH, PERFBENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
