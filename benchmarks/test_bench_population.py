@@ -76,6 +76,9 @@ def _measure_population(consumers: int, workers: int = 1) -> dict:
         "unexpected": [v.to_dict() for v in result.ledger.unexpected],
     }
     assert result.mispredictions == []
+    # A sharded sweep that silently ran a round in-process measures the
+    # wrong path: every round must have run on its workers.
+    assert result.facts["monitor_fallbacks"] == [], result.facts["monitor_fallbacks"]
 
     monitor_steps = [s for s in result.steps if s.phase == "monitor"]
     assert monitor_steps

@@ -42,7 +42,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import NotFoundError
+from repro.common.errors import NotFoundError, OracleError
 from repro.common.serialization import canonical_json, stable_hash
 from repro.blockchain.crypto import verify as verify_signature
 from repro.core.participants import DataConsumer, DataOwner, consumer_for_device
@@ -129,17 +129,21 @@ class MonitoringCoordinator:
         # or under the chunk size keep the exact single-transaction flow.
         self.chunk_size = chunk_size
         # With workers > 1 a batched round partitions its holder set into
-        # contiguous shards and serves each in a forked worker process: the
+        # contiguous shards and hands each to a forked worker process: the
         # per-device evidence generation and enclave-signature verification
         # (the round's CPU wall at 10k consumers) run in parallel against
-        # copy-on-write state, and the parent merges the shard results in
-        # holder order before recording them on its own chain.  workers=1 is
-        # byte-identical to the in-process flow; sharding falls back to it
-        # whenever fork is unavailable or any shard fails.
+        # copy-on-write state, and the parent seals every fulfillment once,
+        # in holder order, on its own chain.  workers=1 is byte-identical to
+        # the in-process flow.  A worker that fails raises its traceback as
+        # an OracleError; only a worker that could not be started or never
+        # reported makes the round run in-process, recorded in fallbacks.
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
         self.reports: List[MonitoringReport] = []
+        # One {"round_id", "reason"} entry per sharded round that ran
+        # in-process because its workers could not deliver.
+        self.fallbacks: List[Dict[str, Any]] = []
 
     # -- single round -------------------------------------------------------------
 
@@ -206,7 +210,7 @@ class MonitoringCoordinator:
             (device_id, request_id, self._consumer_for_device(device_id))
             for device_id, request_id in request_ids.items()
         ]
-        outcomes = self._serve_sharded(served, opened_at)
+        outcomes = self._serve_sharded(served, opened_at, report.round_id)
         modules = {id(c.module): c.module for _, _, c in served if c is not None}
         if outcomes is None:
             with arch.operator_module.batch(*modules.values()):
@@ -218,10 +222,11 @@ class MonitoringCoordinator:
                 for device_id, request_id in request_ids.items()
             }
         else:
-            # The workers computed the responses (the expensive enclave
-            # work); the parent replays only the on-chain fulfillments, in
-            # holder order, so the round seals the same fulfillment block —
-            # transaction for transaction — as the in-process flow.
+            # The workers computed and screened the responses (the expensive
+            # enclave work) without touching any chain; the parent submits
+            # each fulfillment once, in holder order, so the round seals the
+            # same fulfillment block — transaction for transaction — as the
+            # in-process flow.
             with arch.operator_module.batch(*modules.values()):
                 for device_id, request_id, consumer in served:
                     if consumer is not None and outcomes[device_id]["fulfilled"]:
@@ -350,22 +355,29 @@ class MonitoringCoordinator:
 
     # -- sharded serving (workers > 1) -------------------------------------------------------
 
-    def _serve_sharded(self, served, opened_at: float):
-        """Serve a round's holders across forked workers; None = run in-process.
+    def _serve_sharded(self, served, opened_at: float, round_id: int):
+        """Compute a round's evidence across forked workers; None = run in-process.
 
         Each worker inherits the whole deployment copy-on-write, detaches
         every chain store (a child must never write to the parent's durable
-        log), serves its contiguous shard of pull-in requests against its own
-        forked state, screens the resulting evidence, and streams a
+        log), runs :meth:`_run_shard` on its contiguous shard and streams a
         ``{device_id: {fulfilled, response, evidence}}`` map back through a
-        pipe.  The worker's own blocks exist only in its memory; the parent
-        replays the fulfillment transactions (and records the screened
-        evidence) on the real chain, which is the round's on-chain outcome.
-        Any failure (fork unavailable, a worker dying, an unreadable pipe)
-        falls back to the in-process path.
+        pipe.  Workers submit nothing: the parent's fulfillment batch is
+        the only place the round's fulfillments are signed, executed and
+        sealed.
+
+        A worker that raises reports its traceback, which the parent raises
+        as :class:`OracleError` without re-running the round.  Only a worker
+        that could not be started (no ``os.fork``, an ``OSError`` from
+        ``pipe``/``fork``) or that never delivered a readable report makes
+        the round run in-process; each such round is appended to
+        :attr:`fallbacks` with its reason.  Rounds under two holders run
+        in-process by design and are not fallbacks.
         """
-        if self.workers <= 1 or len(served) < 2 or not hasattr(os, "fork"):
+        if self.workers <= 1 or len(served) < 2:
             return None
+        if not hasattr(os, "fork"):
+            return self._fall_back(round_id, "os.fork is unavailable on this platform")
         count = min(self.workers, len(served))
         base, extra = divmod(len(served), count)
         shards, start = [], 0
@@ -377,80 +389,110 @@ class MonitoringCoordinator:
         try:
             for shard in shards:
                 read_fd, write_fd = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
                 if pid == 0:
+                    # Whatever happens, the worker exits here and never
+                    # unwinds into the parent's stack.
                     status = 1
                     try:
-                        os.close(read_fd)
-                        self._detach_stores()
-                        payload = pickle.dumps(self._run_shard(shard, opened_at))
-                        with os.fdopen(write_fd, "wb") as sink:
-                            sink.write(len(payload).to_bytes(8, "big"))
-                            sink.write(payload)
-                            sink.flush()
-                        status = 0
-                    except BaseException:
-                        pass
+                        status = self._report_shard(shard, opened_at, read_fd, write_fd)
                     finally:
                         os._exit(status)
                 os.close(write_fd)
                 children.append((pid, read_fd))
-        except OSError:
+        except OSError as exc:
             for pid, read_fd in children:
                 os.close(read_fd)
                 os.waitpid(pid, 0)
-            return None
+            return self._fall_back(
+                round_id, f"could not start a round worker: {type(exc).__name__}: {exc}")
         # Drain every pipe before waiting on its child: a shard result
         # larger than the pipe buffer would otherwise deadlock the pair.
-        merged: Dict[str, Dict[str, Any]] = {}
-        failed = False
+        reports = []
         for pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as source:
                 data = source.read()
             _, status = os.waitpid(pid, 0)
-            if status != 0 or len(data) < 8:
-                failed = True
-                continue
-            size = int.from_bytes(data[:8], "big")
-            if len(data) != 8 + size:
-                failed = True
-                continue
+            body = data[8:]
+            framed = len(data) >= 8 and int.from_bytes(data[:8], "big") == len(body)
+            reports.append((pid, os.waitstatus_to_exitcode(status), framed, body))
+        for pid, code, framed, body in reports:
+            if code == 1 and framed:
+                raise OracleError(
+                    f"round worker {pid} failed in monitoring round {round_id}:\n"
+                    + body.decode("utf-8", "replace"))
+        merged: Dict[str, Dict[str, Any]] = {}
+        for pid, code, framed, body in reports:
+            if code != 0 or not framed:
+                return self._fall_back(
+                    round_id, f"round worker {pid} exited with status {code} without a report")
             try:
-                merged.update(pickle.loads(data[8:]))
-            except Exception:
-                failed = True
-        if failed or len(merged) != len(served):
-            return None
+                merged.update(pickle.loads(body))
+            except Exception as exc:
+                return self._fall_back(
+                    round_id, f"unreadable report from round worker {pid}: {exc!r}")
+        if len(merged) != len(served):
+            return self._fall_back(
+                round_id, f"workers reported {len(merged)} of {len(served)} holders")
         return merged
 
-    def _run_shard(self, shard, opened_at: float) -> Dict[str, Dict[str, Any]]:
-        """Worker body: serve one shard's requests and screen the evidence.
+    def _report_shard(self, shard, opened_at: float, read_fd: int, write_fd: int) -> int:
+        """Forked worker: run one shard and write its report; returns the exit status.
 
-        Returns, per device, whether the request was fulfilled, the raw
-        response (for the parent to replay on the real chain), and the
-        screened evidence.  The screening verdict transfers: the parent
-        submits byte-identical responses, so re-screening there would reach
-        the same conclusion.
+        The report is a length-prefixed pickle of :meth:`_run_shard`'s result
+        (status 0) or, if the shard raised, its formatted traceback (status
+        1).  Status 2 means the pipe itself failed: there is nowhere left to
+        report to, and the parent sees a worker without a report.
         """
-        arch = self.architecture
-        modules = {id(c.module): c.module for _, _, c in shard if c is not None}
-        with arch.operator_module.batch(*modules.values()):
-            for _, request_id, consumer in shard:
-                if consumer is not None:
-                    consumer.pull_in.serve_request(request_id)
+        try:
+            os.close(read_fd)
+            self._detach_stores()
+            payload, status = pickle.dumps(self._run_shard(shard, opened_at)), 0
+        except BaseException:
+            # Imported only here: traceback and its dependencies add about
+            # 0.4 MB to every process that imports this module.
+            import traceback
+
+            payload, status = traceback.format_exc().encode("utf-8"), 1
+        try:
+            with os.fdopen(write_fd, "wb") as sink:
+                sink.write(len(payload).to_bytes(8, "big"))
+                sink.write(payload)
+        except BaseException:
+            return 2
+        return status
+
+    def _run_shard(self, shard, opened_at: float) -> Dict[str, Dict[str, Any]]:
+        """Worker body: compute and screen one shard's evidence.
+
+        Per device: whether its pull-in component answered, the raw response
+        (for the parent to submit in its fulfillment batch), and the screened
+        evidence.  Opens no batch, submits no transaction and reads nothing
+        back from the hub.  The screening verdict transfers: the parent
+        submits byte-identical responses, so re-screening there would reach
+        the same conclusion.  The provider call stays here, so a
+        ``stale-replay`` component's replay cache lives in the worker and
+        dies with it.
+        """
         outcomes: Dict[str, Dict[str, Any]] = {}
-        for device_id, request_id, _ in shard:
-            record = arch.node.call(
-                arch.oracle_hub_address, "get_request", {"request_id": request_id}
-            )
-            fulfilled = bool(record["fulfilled"])
-            response = record["response"] if fulfilled else dict(NO_EVIDENCE)
+        for device_id, request_id, consumer in shard:
+            response = None if consumer is None else consumer.pull_in.compute_response(request_id)
             outcomes[device_id] = {
-                "fulfilled": fulfilled,
+                "fulfilled": response is not None,
                 "response": response,
-                "evidence": self._screen_evidence(response, opened_at),
+                "evidence": self._screen_evidence(
+                    dict(NO_EVIDENCE) if response is None else response, opened_at),
             }
         return outcomes
+
+    def _fall_back(self, round_id: int, reason: str) -> None:
+        """Record that a sharded round runs in-process, and why."""
+        self.fallbacks.append({"round_id": round_id, "reason": reason})
 
     def _detach_stores(self) -> None:
         """Disconnect every chain in the deployment from its durable store.

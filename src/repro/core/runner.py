@@ -679,6 +679,7 @@ class ScenarioRunner:
         result.facts["chain_height"] = architecture.node.chain.height
         result.facts["chain_valid"] = architecture.node.chain.verify_chain()
         result.facts["balance_conservation"] = result.balance_conservation()
+        result.facts["monitor_fallbacks"] = list(coordinator.fallbacks)
         network = architecture.validator_network
         if network is not None:
             result.facts["validators"] = spec.validators

@@ -106,11 +106,12 @@ class PullInOracle(OracleComponent):
         """Request identifiers still awaiting fulfillment on the hub."""
         return self.module.read(self.contract_address, "pending_requests", {"kind": kind})
 
-    def serve_request(self, request_id: int) -> Optional[Receipt]:
-        """Answer one pending request using the registered provider.
+    def compute_response(self, request_id: int) -> Optional[Dict[str, Any]]:
+        """The answer this component would post for one pending request.
 
-        Returns None without touching the chain when the component has an
-        ``unresponsive`` fault injected (the request stays pending).
+        Reads the request, asks the registered provider and applies any
+        injected fault; submits nothing.  Returns None when the component
+        has an ``unresponsive`` fault injected (it never answers).
         """
         if self.fault_mode == FAULT_UNRESPONSIVE:
             return None
@@ -118,23 +119,32 @@ class PullInOracle(OracleComponent):
         provider = self._providers().get(record["kind"])
         if provider is None:
             raise LookupError(f"no off-chain provider registered for request kind {record['kind']!r}")
-        response = self._faulty_response(record, provider)
-        receipt = self.module.call_contract(
-            self.contract_address,
-            "fulfill_request",
-            {"request_id": request_id, "response": response},
-        )
-        self._count()
-        return receipt
+        return self._faulty_response(record, provider)
+
+    def serve_request(self, request_id: int) -> Optional[Receipt]:
+        """Answer one pending request using the registered provider.
+
+        Returns None without touching the chain when the component has an
+        ``unresponsive`` fault injected (the request stays pending).
+        """
+        response = self.compute_response(request_id)
+        if response is None:
+            return None
+        return self._fulfill(request_id, response)
 
     def fulfill_served(self, request_id: int, response: Dict[str, Any]) -> Receipt:
         """Submit the fulfillment transaction for an already-computed response.
 
-        The sharded monitoring coordinator runs the provider (the expensive
-        enclave work) in forked workers; the parent then replays only this
-        on-chain fulfillment, so its chain carries the same transaction the
-        in-process flow would have sealed.
+        The sharded monitoring coordinator runs :meth:`compute_response` (the
+        expensive enclave work) in forked workers, which submit nothing; the
+        parent then submits each fulfillment exactly once through this
+        method, so its chain carries the same transaction the in-process
+        flow would have sealed.  A fulfillment the hub rejects reverts and
+        fails the enclosing batch with :class:`ContractError`.
         """
+        return self._fulfill(request_id, response)
+
+    def _fulfill(self, request_id: int, response: Dict[str, Any]) -> Receipt:
         receipt = self.module.call_contract(
             self.contract_address,
             "fulfill_request",

@@ -1,12 +1,15 @@
 """Sharded monitoring rounds: workers=N must be an optimization only.
 
 A round with ``workers > 1`` partitions the holder set across forked worker
-processes, each serving its shard against forked state, with the parent
-merging evidence in holder order before any of it touches the parent's
-chain.  These tests pin the equivalence contract: the report, the on-chain
-record, and the reconciliation ledger are identical to the in-process
-``workers=1`` round — and the coordinator silently falls back in-process
-when forking is unavailable.
+processes, each computing and screening its shard's evidence against forked
+state without touching any chain, with the parent sealing every fulfillment
+once, in holder order, on its own chain.  These tests pin the equivalence
+contract: the report, the on-chain record, and the reconciliation ledger
+are identical to the in-process ``workers=1`` round, healthy or with a
+faulty pull-in component.  They also pin the failure contract: a worker
+that raises fails the round loudly with its traceback, and only a worker
+that could not be started or never reported makes the round run
+in-process, recorded with its reason in ``MonitoringCoordinator.fallbacks``.
 
 Evidence payloads carry per-run randomness even between two identical
 sequential runs (duty UIDs are fresh UUIDs, and ``evidenceId`` /
@@ -19,7 +22,7 @@ import os
 import pytest
 
 from repro.common.clock import MONTH, WEEK
-from repro.common.errors import ValidationError
+from repro.common.errors import OracleError, ValidationError
 from repro.core import monitoring as monitoring_module
 from repro.core.monitoring import MonitoringCoordinator
 from repro.core.processes import (
@@ -29,17 +32,20 @@ from repro.core.processes import (
     resource_initiation,
 )
 from repro.core.architecture import UsageControlArchitecture
+from repro.core.participants import consumer_for_device
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario_library import population_spec
 from repro.core.spec import ScenarioSpec
+from repro.oracles.pull_in import FAULT_TAMPER, FAULT_UNRESPONSIVE, PullInOracle
 from repro.policy.templates import retention_policy
 
 PATH = "/data/shared.csv"
 CONTENT = b"k,v\n" * 16
 DEVICES = ("shard-a", "shard-b", "shard-c", "shard-d", "shard-e")
+FAULTY_DEVICE = DEVICES[1]
 
 
-def build_deployment(retention_seconds=MONTH):
+def build_deployment(retention_seconds=MONTH, devices=DEVICES):
     architecture = UsageControlArchitecture()
     owner = architecture.register_owner("alice")
     pod_initiation(architecture, owner)
@@ -49,7 +55,7 @@ def build_deployment(retention_seconds=MONTH):
     )
     resource_initiation(architecture, owner, PATH, CONTENT, policy)
     resource_id = owner.pod_manager.require_pod().url_for(PATH)
-    for index, device in enumerate(DEVICES):
+    for index, device in enumerate(devices):
         consumer = architecture.register_consumer(f"consumer-{index}", device_id=device)
         market_onboarding(architecture, consumer)
         resource_access(architecture, consumer, owner, resource_id)
@@ -78,25 +84,55 @@ def on_chain_record(architecture, resource_id, round_id):
     })
 
 
-@pytest.mark.parametrize("retention", [MONTH, WEEK], ids=["compliant", "violating"])
-def test_sharded_round_equals_in_process_round(retention):
+def pending_requests(architecture):
+    return architecture.node.call(
+        architecture.oracle_hub_address, "pending_requests", {"kind": None})
+
+
+def open_descriptors():
+    """This process's open file descriptors, or None where /proc is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return len(os.listdir("/proc/self/fd"))
+
+
+# A stale-replay component is left out: its replay cache lives in the forked
+# worker and dies with it, so across rounds it differs from in-process.
+@pytest.mark.parametrize("retention,fault", [
+    (MONTH, None),
+    (WEEK, None),
+    (MONTH, FAULT_UNRESPONSIVE),
+    (MONTH, FAULT_TAMPER),
+], ids=["compliant", "violating", "unresponsive", "tamper-compliant"])
+def test_sharded_round_equals_in_process_round(retention, fault):
     arch_sharded, owner_w, resource_w = build_deployment(retention)
     arch_inline, owner_i, resource_i = build_deployment(retention)
     if retention == WEEK:
         arch_sharded.advance_time(2 * WEEK)
         arch_inline.advance_time(2 * WEEK)
+    if fault is not None:
+        for architecture in (arch_sharded, arch_inline):
+            consumer_for_device(architecture, FAULTY_DEVICE).pull_in.inject_fault(fault)
 
-    sharded = MonitoringCoordinator(arch_sharded, workers=2).run_round(owner_w, PATH)
+    coordinator = MonitoringCoordinator(arch_sharded, workers=2)
+    sharded = coordinator.run_round(owner_w, PATH)
     inline = MonitoringCoordinator(arch_inline, workers=1).run_round(owner_i, PATH)
+
+    assert coordinator.fallbacks == []
+    if fault is not None:
+        # The faulty device's missing or forged evidence is what fails it.
+        assert sharded.non_compliant_devices == [FAULTY_DEVICE]
 
     assert normalize(sharded.to_dict()) == normalize(inline.to_dict())
     assert normalize(sharded.evidence) == normalize(inline.evidence)
     assert on_chain_record(arch_sharded, resource_w, sharded.round_id) == on_chain_record(
         arch_inline, resource_i, inline.round_id
     )
-    # Workers execute against forked state: the parent's chain stays intact
-    # and seals the same constant number of blocks as the inline round.
+    # Workers submit nothing: the parent's chain stays intact, seals the
+    # same constant number of blocks as the inline round, and leaves the
+    # same requests (an unresponsive device's) pending.
     assert arch_sharded.node.chain.height == arch_inline.node.chain.height
+    assert pending_requests(arch_sharded) == pending_requests(arch_inline)
     assert arch_sharded.node.chain.verify_chain(replay=True)
 
 
@@ -110,15 +146,75 @@ def test_more_workers_than_holders_still_covers_every_device():
 
 def test_sharded_round_falls_back_in_process_when_fork_fails(monkeypatch):
     architecture, owner, _ = build_deployment()
+    real_fork = os.fork
 
-    def broken_fork():
-        raise OSError("fork unavailable")
+    # The second fork fails (one worker already started), then every fork.
+    for successes in (1, 0):
+        forks = []
 
-    monkeypatch.setattr(monitoring_module.os, "fork", broken_fork)
-    report = MonitoringCoordinator(architecture, workers=4).run_round(owner, PATH)
-    assert sorted(report.holders) == sorted(DEVICES)
-    assert report.all_compliant
+        def flaky_fork():
+            forks.append(None)
+            if len(forks) > successes:
+                raise OSError("fork unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(monitoring_module.os, "fork", flaky_fork)
+        coordinator = MonitoringCoordinator(architecture, workers=4)
+        descriptors = open_descriptors()
+        report = coordinator.run_round(owner, PATH)
+        # Both ends of the pipe made for the failed fork are closed.
+        assert open_descriptors() == descriptors
+        assert sorted(report.holders) == sorted(DEVICES)
+        assert report.all_compliant
+        (fallback,) = coordinator.fallbacks
+        assert fallback["round_id"] == report.round_id
+        assert "OSError: fork unavailable" in fallback["reason"]
     assert architecture.node.chain.verify_chain(replay=True)
+
+
+def test_worker_failure_raises_its_traceback_instead_of_running_in_process(monkeypatch):
+    architecture, owner, _ = build_deployment()
+
+    def broken_provider(payload):
+        raise RuntimeError("enclave evidence unavailable")
+
+    consumer_for_device(architecture, DEVICES[-1]).pull_in.register_provider(
+        "usage_evidence", broken_provider)
+    served = []
+    serve_request = PullInOracle.serve_request
+    monkeypatch.setattr(PullInOracle, "serve_request",
+                        lambda self, request_id: served.append(request_id)
+                        or serve_request(self, request_id))
+    coordinator = MonitoringCoordinator(architecture, workers=2)
+    with pytest.raises(OracleError, match="RuntimeError: enclave evidence unavailable"):
+        coordinator.run_round(owner, PATH)
+    # Nothing was served in-process and no fulfillment reached the chain.
+    assert served == []
+    assert coordinator.fallbacks == []
+    assert len(pending_requests(architecture)) == len(DEVICES)
+    assert architecture.node.chain.verify_chain(replay=True)
+
+
+def test_worker_that_dies_without_a_report_falls_back_in_process(monkeypatch):
+    architecture, owner, _ = build_deployment()
+    monkeypatch.setattr(MonitoringCoordinator, "_run_shard",
+                        lambda self, shard, opened_at: os._exit(9))
+    coordinator = MonitoringCoordinator(architecture, workers=2)
+    report = coordinator.run_round(owner, PATH)
+    assert report.all_compliant
+    assert pending_requests(architecture) == []
+    (fallback,) = coordinator.fallbacks
+    assert fallback["round_id"] == report.round_id
+    assert "status 9 without a report" in fallback["reason"]
+
+
+def test_round_under_two_holders_runs_in_process_without_a_fallback():
+    architecture, owner, _ = build_deployment(devices=DEVICES[:1])
+    coordinator = MonitoringCoordinator(architecture, workers=2)
+    report = coordinator.run_round(owner, PATH)
+    assert report.holders == [DEVICES[0]]
+    assert report.all_compliant
+    assert coordinator.fallbacks == []
 
 
 def test_worker_count_is_validated():
