@@ -2,11 +2,13 @@
 """Crash-recovery soak: repeated durable-churn runs with mid-round hard crashes.
 
 Each round executes the ``durable-churn`` library scenario — a 3-validator
-durable market run that kill -9s validator 1 mid-round (stale manifest,
-torn tail record left on disk) and later restarts it from its chain store —
-and checks the full recovery contract:
+durable market run that kill -9s validator 1 mid-round (unacknowledged
+tail and a torn tail record left on disk) and later restarts it from its
+chain store — and checks the full recovery contract:
 
 * the torn tail was detected and truncated, never silently accepted;
+* acknowledgements kept up: the unsynced tail past the last ``commits.log``
+  record is shorter than one acknowledgement interval;
 * cold start ran from a promoted finality snapshot, not genesis;
 * the restarted replica replays clean (``verify_chain(replay=True)``);
 * all heads converge and the violation ledger closes exactly as an
@@ -31,6 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.blockchain.storage import MANIFEST_INTERVAL  # noqa: E402
 from repro.core.runner import ScenarioRunner  # noqa: E402
 from repro.core.scenario_library import durable_churn_spec  # noqa: E402
 
@@ -43,6 +46,7 @@ def run_round(index: int) -> dict:
     recovery = result.facts["recoveries"][0]
     checks = {
         "tail_truncated": recovery["recordsTruncated"] >= 1,
+        "commit_acknowledged": recovery["unsyncedTail"] < MANIFEST_INTERVAL,
         "snapshot_cold_start": recovery["snapshotHeight"] > 0,
         "replay_verified": recovery["replayVerified"] is True,
         "heads_converged": bool(result.facts["honest_heads_converged"]),

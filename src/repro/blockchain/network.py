@@ -216,9 +216,9 @@ class BlockchainNetwork:
         """Hard-crash the validator at *index* (kill -9, not a clean stop).
 
         The replica's in-memory state is lost entirely: its chain store is
-        abandoned un-synced (the manifest lags the log, leaving an unsynced
-        tail) and, with *torn_tail*, a half-written record is left at the
-        end of the log — exactly what a power cut mid-append produces.
+        abandoned un-synced (``commits.log`` lags the block log, leaving an
+        unsynced tail) and, with *torn_tail*, a half-written record is left
+        at the end of the log — exactly what a power cut mid-append produces.
         Only :meth:`restart_validator` can bring it back.
         """
         self._check_index(index)

@@ -110,8 +110,8 @@ class BlockchainNode:
                 root_scheme=self.chain.root_scheme,
             )
             self.chain.attach_store(store)
-            for name in self.registry.known():
-                store.record_contract(name, self.registry.get(name))
+            store.record_contracts(
+                {name: self.registry.get(name) for name in self.registry.known()})
         self.pending: List[Transaction] = []
         self._pending_by_sender: Dict[str, int] = {}
         # Transactions enqueued while a batch is active; their signatures are
@@ -155,11 +155,12 @@ class BlockchainNode:
             self.chain.store.close()
 
     def hard_crash(self, torn_tail: bool = False) -> None:
-        """Simulate kill -9: drop the store handle without syncing.
+        """Simulate kill -9: drop the store handles without syncing.
 
-        The manifest is left stale (records past its committed count form
-        the unsynced tail) and *torn_tail* leaves a half-written record at
-        the end of the log — both of which recovery must handle.
+        No acknowledgement is appended to ``commits.log`` (records past its
+        last committed count form the unsynced tail) and *torn_tail* leaves
+        a half-written record at the end of the block log — both of which
+        recovery must handle.
         """
         if self.chain.store is not None:
             self.chain.store.abandon(torn_tail=torn_tail)

@@ -5,22 +5,33 @@ A :class:`ChainStore` owns one persist directory per node:
 ``blocks.log``
     Append-only record log of the canonical post-genesis blocks.  Each
     record is ``MAGIC | length (8 bytes, big-endian) | canonical_json
-    payload | SHA-256(payload)``.  Appends go straight to the log; the
-    *manifest* — not the log itself — is what acknowledges them as
+    payload | SHA-256(payload)``.  Appends go straight to the log; a record
+    in ``commits.log`` — not the log itself — is what acknowledges them as
     committed, so a record can only ever be (a) committed, (b) an intact
     unsynced tail entry, or (c) a torn/corrupt tail that :meth:`open`
     detects and truncates to the longest valid prefix.  Corruption is never
     silently accepted: every record's checksum is re-verified on open.
 
+``commits.log``
+    Append-only acknowledgement log in the same record framing; each record
+    is ``{"committedRecords": n}``.  Every ``manifest_interval`` appends and
+    on :meth:`sync`/:meth:`close`/:meth:`rewind_to`, ``blocks.log`` is
+    fsynced first and then one acknowledgement is appended and fsynced.
+    The last valid record holds the committed count: records of
+    ``blocks.log`` past it are the *unsynced tail* a hard crash leaves
+    behind.  A torn acknowledgement is truncated on open like a torn block
+    record, and the one before it holds.  Acknowledging by an append keeps
+    renames off the write path: replacing an existing file frees the old
+    file's blocks, which is slow on filesystems mounted with online discard.
+
 ``manifest.json``
-    Chain metadata (genesis balances, validator set, block interval,
-    reorg window, snapshot cadence) plus the committed record count.
-    Updated with the classic crash-safe protocol: write to a temporary
-    file, ``fsync``, then atomically ``os.replace`` over the old manifest,
-    so a crash leaves either the old or the new manifest, never a torn
-    one.  The manifest is refreshed every ``manifest_interval`` appends
-    and on :meth:`sync`/:meth:`close`; records past the committed count
-    are the *unsynced tail* a hard crash leaves behind.
+    Chain metadata (genesis balances and timestamp, validator set, block
+    interval, reorg window, snapshot cadence, epoch length, root scheme),
+    written once by :meth:`create` with the classic crash-safe protocol:
+    write to a temporary file, ``fsync``, then atomically ``os.replace``
+    it into place, so a crash leaves either no manifest or a whole one.
+    Both logs are created before it, so a store with a manifest always has
+    both logs.
 
 ``registry.json``
     The durable contract registry, in the hardened shape of nucypher's
@@ -54,6 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import IntegrityError, ValidationError
 from repro.common.serialization import canonical_json, from_canonical_json
+from repro.blockchain.state import DEFAULT_ROOT_SCHEME
 
 RECORD_MAGIC = b"RBLK"
 _LENGTH_BYTES = 8
@@ -65,6 +77,7 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "blocks.log"
+COMMITS_NAME = "commits.log"
 REGISTRY_NAME = "registry.json"
 PROOFS_NAME = "proofs.json"
 ROTATIONS_NAME = "rotations.json"
@@ -73,6 +86,9 @@ _SNAPSHOT_PREFIX = "snapshot"
 _PENDING_PREFIX = "pending"
 
 STORE_VERSION = 1
+
+# Default number of appends between two acknowledgements in commits.log.
+MANIFEST_INTERVAL = 16
 
 
 def _fsync_dir(path: str) -> None:
@@ -88,11 +104,16 @@ def _fsync_dir(path: str) -> None:
 
 
 def atomic_write_json(path: str, payload: Any) -> None:
-    """Crash-safe checksummed JSON write: temp file, fsync, atomic rename."""
+    """Crash-safe checksummed JSON write: temp file, fsync, atomic rename.
+
+    The document is ``canonical_json({"payload": payload, "sha256": digest})``,
+    assembled around the one serialization of *payload* (``"payload"``
+    sorts before ``"sha256"``), so a snapshot's world state is serialized
+    once.
+    """
     body = canonical_json(payload)
-    document = canonical_json(
-        {"payload": payload, "sha256": hashlib.sha256(body).hexdigest()}
-    )
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    document = b'{"payload":' + body + b',"sha256":"' + digest + b'"}'
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
         handle.write(document)
@@ -178,6 +199,25 @@ def scan_records(raw: bytes) -> Tuple[List[bytes], int, List[str]]:
     return payloads, offset, issues
 
 
+def _recover_log(path: str) -> Tuple[List[bytes], int, List[str]]:
+    """Read a record log, truncating a torn or corrupt tail in place.
+
+    Returns ``(payloads, bytes_truncated, issues)`` as :func:`scan_records`
+    finds them; a missing log reads as empty.
+    """
+    raw = b""
+    if os.path.exists(path):
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    payloads, valid_bytes, issues = scan_records(raw)
+    if valid_bytes < len(raw):
+        with open(path, "r+b") as handle:
+            handle.truncate(valid_bytes)
+            handle.flush()
+            os.fsync(handle.fileno())
+    return payloads, len(raw) - valid_bytes, issues
+
+
 @dataclass
 class RecoveryReport:
     """What :meth:`ChainStore.open` found and what the cold start cost."""
@@ -214,7 +254,7 @@ class ChainStore:
     def __init__(self, directory: str, manifest: Dict[str, Any],
                  payloads: Optional[List[bytes]] = None,
                  recovery: Optional[RecoveryReport] = None,
-                 manifest_interval: int = 16):
+                 manifest_interval: int = MANIFEST_INTERVAL):
         self.directory = directory
         self.manifest = manifest
         self.recovery = recovery if recovery is not None else RecoveryReport()
@@ -231,6 +271,7 @@ class ChainStore:
             self._offsets.append(position)
             self.block_payloads.append(payload)
         self._log = open(self.log_path, "ab")
+        self._commits = open(self.commits_path, "ab")
         self._appends_since_manifest = 0
         self._closed = False
 
@@ -241,8 +282,8 @@ class ChainStore:
         return os.path.join(self.directory, LOG_NAME)
 
     @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
+    def commits_path(self) -> str:
+        return os.path.join(self.directory, COMMITS_NAME)
 
     @property
     def registry_path(self) -> str:
@@ -315,8 +356,8 @@ class ChainStore:
                require_signatures: bool = True,
                genesis_timestamp: float = 0.0,
                epoch_length: int = 0,
-               root_scheme: int = 1,
-               manifest_interval: int = 16) -> "ChainStore":
+               root_scheme: int = DEFAULT_ROOT_SCHEME,
+               manifest_interval: int = MANIFEST_INTERVAL) -> "ChainStore":
         """Initialize a fresh persist directory (refuses to adopt an old one)."""
         os.makedirs(directory, exist_ok=True)
         os.makedirs(os.path.join(directory, SNAPSHOT_DIR), exist_ok=True)
@@ -339,24 +380,26 @@ class ChainStore:
             "genesisTimestamp": float(genesis_timestamp),
             "epochLength": int(epoch_length),
             "rootScheme": int(root_scheme),
-            "committedRecords": 0,
         }
+        # Both logs exist before the manifest does, so open() on any store
+        # with a manifest finds a coherent directory.
+        for name in (LOG_NAME, COMMITS_NAME):
+            with open(os.path.join(directory, name), "wb"):
+                pass
         atomic_write_json(manifest_path, manifest)
-        # Create the empty log eagerly so open() on a crashed-before-first-
-        # block store still finds a coherent directory.
-        with open(os.path.join(directory, LOG_NAME), "ab"):
-            pass
         return cls(directory, manifest, manifest_interval=manifest_interval)
 
     @classmethod
     def open(cls, directory: str,
-             manifest_interval: int = 16) -> Tuple["ChainStore", RecoveryReport]:
+             manifest_interval: int = MANIFEST_INTERVAL) -> Tuple["ChainStore", RecoveryReport]:
         """Reopen a persist directory, validating every record checksum.
 
-        Torn or corrupt tail records are truncated away (the longest valid
-        prefix survives); a missing or corrupt manifest is fatal — it holds
-        the genesis balances and validator set without which the log cannot
-        be interpreted.  Returns ``(store, recovery report)``.
+        Torn or corrupt tail records of both logs are truncated away (the
+        longest valid prefix survives); the last valid ``commits.log``
+        record gives the committed count.  A missing or corrupt manifest is
+        fatal — it holds the genesis balances and validator set without
+        which the log cannot be interpreted.  Returns ``(store, recovery
+        report)``.
         """
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if not os.path.isdir(directory) or not os.path.exists(manifest_path):
@@ -367,23 +410,16 @@ class ChainStore:
         if not isinstance(manifest, dict) or manifest.get("version") != STORE_VERSION:
             raise IntegrityError(f"unsupported chain-store version in {manifest_path}")
         report = RecoveryReport()
-        log_path = os.path.join(directory, LOG_NAME)
-        raw = b""
-        if os.path.exists(log_path):
-            with open(log_path, "rb") as handle:
-                raw = handle.read()
-        payloads, valid_bytes, issues = scan_records(raw)
+        payloads, bytes_truncated, issues = _recover_log(os.path.join(directory, LOG_NAME))
         report.issues.extend(issues)
         report.records_loaded = len(payloads)
-        report.bytes_truncated = len(raw) - valid_bytes
-        if valid_bytes < len(raw):
+        report.bytes_truncated = bytes_truncated
+        if bytes_truncated:
             # Estimate the records lost to the torn tail (at least one).
             report.records_truncated = 1
-            with open(log_path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-        committed = int(manifest.get("committedRecords", 0))
+        acks, _, issues = _recover_log(os.path.join(directory, COMMITS_NAME))
+        report.issues.extend(f"{COMMITS_NAME}: {issue}" for issue in issues)
+        committed = int(from_canonical_json(acks[-1])["committedRecords"]) if acks else 0
         report.unsynced_tail = max(0, len(payloads) - committed)
         os.makedirs(os.path.join(directory, SNAPSHOT_DIR), exist_ok=True)
         store = cls(directory, manifest, payloads=payloads, recovery=report,
@@ -391,7 +427,7 @@ class ChainStore:
         return store, report
 
     def sync(self) -> None:
-        """Flush the log and acknowledge every record in the manifest."""
+        """Flush the log and acknowledge every record in ``commits.log``."""
         if self._closed:
             return
         self._log.flush()
@@ -399,15 +435,16 @@ class ChainStore:
         self._write_manifest()
 
     def close(self) -> None:
-        """Clean shutdown: sync everything, then release the log handle."""
+        """Clean shutdown: sync everything, then release both log handles."""
         if self._closed:
             return
         self.sync()
         self._log.close()
+        self._commits.close()
         self._closed = True
 
     def abandon(self, torn_tail: bool = False) -> None:
-        """Simulate kill -9: release the handle with NO sync or manifest write.
+        """Simulate kill -9: release the handles with NO sync or acknowledgement.
 
         With *torn_tail* a partial record (valid magic, plausible length,
         missing body bytes) is left at the end of the log — exactly what a
@@ -418,13 +455,21 @@ class ChainStore:
         if torn_tail:
             half = encode_record(b'{"torn": true}')[: _HEADER_BYTES + 6]
             self._log.write(half)
-        self._log.flush()  # the bytes reach the OS; the manifest never learns
+        self._log.flush()  # the bytes reach the OS; commits.log never learns
         self._log.close()
+        self._commits.close()
         self._closed = True
 
     def _write_manifest(self) -> None:
-        self.manifest["committedRecords"] = len(self._offsets)
-        atomic_write_json(self.manifest_path, self.manifest)
+        """Acknowledge every record of the log as committed.
+
+        Appends one ``{"committedRecords": n}`` record to ``commits.log`` and
+        fsyncs it; every caller has fsynced ``blocks.log`` before.
+        """
+        ack = canonical_json({"committedRecords": len(self._offsets)})
+        self._commits.write(encode_record(ack))
+        self._commits.flush()
+        os.fsync(self._commits.fileno())
         self._appends_since_manifest = 0
 
     # -- block records -------------------------------------------------------
@@ -554,31 +599,40 @@ class ChainStore:
             raise IntegrityError(f"{self.registry_path} does not hold a registry list")
         return entries
 
-    def record_contract(self, name: str, contract_class: type) -> None:
-        """Append a contract to the durable registry (read-before-modify).
+    def record_contracts(self, contracts: Dict[str, type]) -> None:
+        """Append contracts to the durable registry in one write (read-before-modify).
 
         The current document is always re-read before writing so concurrent
         or earlier appends are never clobbered, and an existing entry is
         never modified or dropped — the registry is append-only; a name
-        re-registered with a different implementation is a fault.
+        re-registered with a different implementation is a fault, and then
+        nothing is written.  Nothing is written either when every contract
+        is already recorded.
         """
         entries = self.read_registry()
-        record = {
-            "name": name,
-            "module": contract_class.__module__,
-            "qualname": contract_class.__qualname__,
-        }
-        for entry in entries:
-            if entry.get("name") == name:
-                if entry.get("module") != record["module"] or \
-                        entry.get("qualname") != record["qualname"]:
-                    raise IntegrityError(
-                        f"registry entry {name!r} already maps to "
-                        f"{entry.get('module')}.{entry.get('qualname')}"
-                    )
-                return
-        entries.append(record)
-        atomic_write_json(self.registry_path, entries)
+        recorded = {entry.get("name"): entry for entry in entries}
+        added: List[Dict[str, str]] = []
+        for name, contract_class in contracts.items():
+            record = {
+                "name": name,
+                "module": contract_class.__module__,
+                "qualname": contract_class.__qualname__,
+            }
+            entry = recorded.setdefault(name, record)
+            if entry is record:
+                added.append(record)
+            elif entry.get("module") != record["module"] or \
+                    entry.get("qualname") != record["qualname"]:
+                raise IntegrityError(
+                    f"registry entry {name!r} already maps to "
+                    f"{entry.get('module')}.{entry.get('qualname')}"
+                )
+        if added:
+            atomic_write_json(self.registry_path, entries + added)
+
+    def record_contract(self, name: str, contract_class: type) -> None:
+        """Append one contract to the durable registry (see :meth:`record_contracts`)."""
+        self.record_contracts({name: contract_class})
 
     # -- equivocation proofs ----------------------------------------------------
 

@@ -369,8 +369,9 @@ class MonitoringCoordinator:
         A worker that raises reports its traceback, which the parent raises
         as :class:`OracleError` without re-running the round.  Only a worker
         that could not be started (no ``os.fork``, an ``OSError`` from
-        ``pipe``/``fork``) or that never delivered a readable report makes
-        the round run in-process; each such round is appended to
+        ``pipe``/``fork``; the workers already started are then killed) or
+        that never delivered a readable report makes the round run
+        in-process; each such round is appended to
         :attr:`fallbacks` with its reason.  Rounds under two holders run
         in-process by design and are not fallbacks.
         """
@@ -406,7 +407,14 @@ class MonitoringCoordinator:
                 os.close(write_fd)
                 children.append((pid, read_fd))
         except OSError as exc:
+            # The round reruns in-process, so the started workers' shards
+            # would be computed for nothing: stop them before reaping.
+            # Imported only here, like traceback below: importing signal
+            # adds about 35 kB to every process that imports this module.
+            import signal
+
             for pid, read_fd in children:
+                os.kill(pid, signal.SIGKILL)
                 os.close(read_fd)
                 os.waitpid(pid, 0)
             return self._fall_back(

@@ -546,7 +546,7 @@ def durable_churn_spec() -> ScenarioSpec:
         name="durable-churn",
         description=(
             "A durable 3-validator deployment hard-crashes one replica "
-            "(kill -9: stale manifest, torn tail record) and rebuilds it "
+            "(kill -9: unacknowledged tail, torn tail record) and rebuilds it "
             "from its chain store; recovery truncates the garbage, "
             "cold-starts from a finality snapshot, resyncs the rest from "
             "peers, and the market's monitoring results are unaffected."

@@ -474,8 +474,8 @@ def equivocate(index: int) -> Step:
 
 def crash_validator(index: int) -> Step:
     """Hard-crash (kill -9) the validator at *index*: its in-memory replica
-    is destroyed and its chain store abandoned mid-append (stale manifest,
-    torn tail record).  Needs a durable scenario (``durable=True``)."""
+    is destroyed and its chain store abandoned mid-append (unacknowledged
+    tail, torn tail record).  Needs a durable scenario (``durable=True``)."""
     return Step("crash_validator", validator=index)
 
 

@@ -1,22 +1,26 @@
 """Durable chain storage: crash-safety, corruption injection, cold start.
 
 Every test tears the persist directory in a specific way (torn tail record,
-flipped byte, missing manifest, forged snapshot) and asserts recovery does
-exactly what the storage contract promises: truncate to the longest valid
-prefix, never silently accept corruption, cold-start from a verified
-finality snapshot, and resync the rest from peers.
+torn acknowledgement, flipped byte, missing manifest, forged snapshot) and
+asserts recovery does exactly what the storage contract promises: truncate
+to the longest valid prefix, never silently accept corruption, cold-start
+from a verified finality snapshot, and resync the rest from peers.
 """
 
+import hashlib
 import os
 
 import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import IntegrityError, ValidationError
+from repro.common.serialization import canonical_json, from_canonical_json
+from repro.blockchain import storage
 from repro.blockchain.consensus import ProofOfAuthority
 from repro.blockchain.crypto import KeyPair
 from repro.blockchain.network import BlockchainNetwork
 from repro.blockchain.node import BlockchainNode
+from repro.blockchain.state import ROOT_SCHEME_BINARY
 from repro.blockchain.storage import (
     ChainStore,
     encode_record,
@@ -28,6 +32,8 @@ from repro.blockchain.storage import (
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.vm import ContractRegistry
 from repro.contracts.dist_exchange import DistExchangeApp
+from repro.contracts.market import DataMarket
+from repro.contracts.oracle_hub import OracleRequestHub
 
 
 # -- helpers -----------------------------------------------------------------
@@ -112,6 +118,32 @@ def test_checked_json_detects_tampering(tmp_path):
         read_checked_json(path)
 
 
+class _Point:
+    """A value serialized through its ``to_dict``."""
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def to_dict(self):
+        return {"y": self.y, "x": self.x}
+
+
+@pytest.mark.parametrize("payload", [
+    {"zeta": {"b": 2, "a": [3, {"k": "v", "c": None}]}, "alpha": True},
+    {"owner": "Zoë", "labels": ["données ✓", "数据", "\u2028"]},
+    {"ratio": 0.1, "huge": 1e300, "negative": -2.5, "whole": 3.0},
+    {"origin": _Point(0, 1.5), "path": [_Point("é", -1)]},
+], ids=["nested-unsorted", "non-ascii", "floats", "to-dict"])
+def test_checked_json_document_is_the_canonical_envelope(tmp_path, payload):
+    path = str(tmp_path / "doc.json")
+    atomic_write_json(path, payload)
+    body = canonical_json(payload)
+    envelope = {"payload": payload, "sha256": hashlib.sha256(body).hexdigest()}
+    with open(path, "rb") as handle:
+        assert handle.read() == canonical_json(envelope)
+    assert read_checked_json(path) == from_canonical_json(body)
+
+
 # -- clean round trip and cold start ----------------------------------------
 
 
@@ -159,6 +191,78 @@ def test_restart_produces_identical_genesis(tmp_path):
     assert restored.chain.blocks[0].header.hash == genesis_hash
     mine_transfers(restored, key, 1)
     assert restored.chain.verify_chain(replay=True)
+
+
+def test_store_created_with_defaults_records_the_binary_root_scheme(tmp_path):
+    store = ChainStore.create(str(tmp_path), {}, ["0xvalidator"], 5.0, 4)
+    store.close()
+    assert read_checked_json(str(tmp_path / "manifest.json"))["rootScheme"] == ROOT_SCHEME_BINARY
+    reopened, _ = ChainStore.open(str(tmp_path))
+    assert reopened.root_scheme == ROOT_SCHEME_BINARY
+    reopened.close()
+
+
+# -- commit acknowledgement ----------------------------------------------------
+
+
+def test_unsynced_tail_is_the_records_past_the_last_acknowledgement(tmp_path):
+    node, key = durable_node(tmp_path)
+    mine_transfers(node, key, 20)
+    node.hard_crash()
+
+    # The default interval acknowledged 16 of the 20 appends.
+    restored = BlockchainNode.open_from_disk(str(tmp_path), key)
+    assert restored.chain.height == 20
+    assert restored.recovery.unsynced_tail == 4
+    restored.close()
+
+    again = BlockchainNode.open_from_disk(str(tmp_path), key)
+    assert again.recovery.unsynced_tail == 0
+    assert again.recovery.issues == []
+    again.close()
+
+
+def test_torn_acknowledgement_is_truncated_and_the_previous_count_holds(tmp_path):
+    node, key = durable_node(tmp_path)
+    mine_transfers(node, key, 20)
+    node.close()
+    commits_path = str(tmp_path / "commits.log")
+    intact_size = os.path.getsize(commits_path)
+    with open(commits_path, "ab") as handle:
+        handle.write(encode_record(canonical_json({"committedRecords": 99}))[:-10])
+
+    restored = BlockchainNode.open_from_disk(str(tmp_path), key)
+    assert restored.recovery.unsynced_tail == 0
+    assert any(issue.startswith("commits.log: torn record")
+               for issue in restored.recovery.issues)
+    assert os.path.getsize(commits_path) == intact_size
+
+    # Acknowledgements written after the repair read back: the 16th append
+    # acknowledges 36 records and the 37th is the unsynced tail.
+    mine_transfers(restored, key, 17)
+    restored.hard_crash()
+    again = BlockchainNode.open_from_disk(str(tmp_path), key)
+    assert again.chain.height == 37
+    assert again.recovery.unsynced_tail == 1
+    assert again.recovery.issues == []
+    again.close()
+
+
+def test_append_path_replaces_no_existing_file(tmp_path, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(source, target):
+        replaced.append((os.path.basename(target), os.path.exists(target)))
+        return real_replace(source, target)
+
+    monkeypatch.setattr(storage.os, "replace", recording_replace)
+    node, key = durable_node(tmp_path, snapshot_interval=4, max_reorg_depth=4)
+    mine_transfers(node, key, 40)
+    node.close()
+    assert [name for name, existed in replaced if existed] == []
+    assert [name for name, _ in replaced].count("manifest.json") == 1
+    assert any(name.startswith("snapshot-") for name, _ in replaced)
 
 
 # -- corruption injection -----------------------------------------------------
@@ -295,6 +399,25 @@ def test_registry_entries_are_append_only(tmp_path):
 
     with pytest.raises(IntegrityError):
         store.record_contract("DistExchangeApp", DistExchangeApp2)
+    node.close()
+
+
+def test_node_construction_records_every_contract_in_one_write(tmp_path, monkeypatch):
+    written = []
+    real_write = storage.atomic_write_json
+
+    def recording_write(path, payload):
+        written.append(os.path.basename(path))
+        real_write(path, payload)
+
+    monkeypatch.setattr(storage, "atomic_write_json", recording_write)
+    registry = ContractRegistry()
+    for contract in (DistExchangeApp, DataMarket, OracleRequestHub):
+        registry.register(contract)
+    node, _ = durable_node(tmp_path, registry=registry)
+    assert written.count("registry.json") == 1
+    assert [entry["name"] for entry in node.chain.store.read_registry()] == [
+        "DataMarket", "DistExchangeApp", "OracleRequestHub"]
     node.close()
 
 

@@ -23,12 +23,14 @@ def test_single_round_passes_and_writes_the_summary(tmp_path, capsys):
     assert len(summary["rounds"]) == 1
     round0 = summary["rounds"][0]
     assert round0["checks"]["tail_truncated"]
+    assert round0["checks"]["commit_acknowledged"]
     assert round0["checks"]["snapshot_cold_start"]
     # The store the round ran against was materialised under --store-root
     # (that is what CI uploads for post-mortem).
     store = Path(round0["store"])
     assert store.parent == tmp_path
     assert (store / "validator-1" / "manifest.json").exists()
+    assert (store / "validator-1" / "commits.log").exists()
 
 
 def test_round_floor_is_enforced():

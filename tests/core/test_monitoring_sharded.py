@@ -18,6 +18,7 @@ compared modulo those fields — everything else must match exactly.
 """
 
 import os
+import time
 
 import pytest
 
@@ -144,9 +145,19 @@ def test_more_workers_than_holders_still_covers_every_device():
     assert architecture.node.chain.verify_chain(replay=True)
 
 
-def test_sharded_round_falls_back_in_process_when_fork_fails(monkeypatch):
+def test_sharded_round_falls_back_in_process_when_fork_fails(monkeypatch, tmp_path):
     architecture, owner, _ = build_deployment()
     real_fork = os.fork
+    marker = tmp_path / "shard-finished"
+
+    def slow_shard(self, shard, opened_at):
+        time.sleep(30)
+        marker.write_text("the started worker ran its whole shard")
+        return {}
+
+    # A worker started before a later fork fails is killed, not waited for:
+    # the round reruns in-process anyway.
+    monkeypatch.setattr(MonitoringCoordinator, "_run_shard", slow_shard)
 
     # The second fork fails (one worker already started), then every fork.
     for successes in (1, 0):
@@ -161,7 +172,10 @@ def test_sharded_round_falls_back_in_process_when_fork_fails(monkeypatch):
         monkeypatch.setattr(monitoring_module.os, "fork", flaky_fork)
         coordinator = MonitoringCoordinator(architecture, workers=4)
         descriptors = open_descriptors()
+        started = time.monotonic()
         report = coordinator.run_round(owner, PATH)
+        assert time.monotonic() - started < 15
+        assert not marker.exists()
         # Both ends of the pipe made for the failed fork are closed.
         assert open_descriptors() == descriptors
         assert sorted(report.holders) == sorted(DEVICES)

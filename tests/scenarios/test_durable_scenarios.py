@@ -1,8 +1,8 @@
 """The durable-churn scenario: hard crash + cold-start recovery conformance.
 
 The acceptance story of the persistence subsystem: a durable 3-validator
-library scenario hard-crashes one replica mid-run (stale manifest, torn
-tail record), the market keeps operating, and the restart rebuilds the
+library scenario hard-crashes one replica mid-run (unacknowledged tail,
+torn tail record), the market keeps operating, and the restart rebuilds the
 replica from its chain store — every record checksum verified, the torn
 tail truncated, the chain cold-started from a promoted finality snapshot,
 the rest resynced from peers — with ``verify_chain(replay=True)`` clean on
