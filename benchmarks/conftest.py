@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark prints the rows it measures (latency, transactions, gas) so a
-run of ``pytest benchmarks/ --benchmark-only`` regenerates the figures
-recorded in ``EXPERIMENTS.md``.  Deployment helpers live in
-``bench_helpers.py``.
+Every benchmark prints the rows it measures (latency, transactions, gas) and
+writes them to its ``BENCH_<name>.json`` artifact at the repository root, so a
+run of ``PYTHONPATH=src python -m pytest benchmarks -q`` regenerates them.
+Deployment helpers and the artifact writer live in ``bench_helpers.py``.
 """
 
 from __future__ import annotations

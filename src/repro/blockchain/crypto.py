@@ -16,9 +16,10 @@ Two implementations coexist:
   ``reference_verify``) — kept verbatim as the specification the fast path
   is pinned against;
 * the **fast** path used by :func:`sign` / :func:`verify` — fixed-base
-  precomputed tables and Shamir's trick from :mod:`repro.blockchain.fastec`,
-  plus an LRU ``(public key, message digest, signature)`` verification cache
-  and :func:`verify_batch`, which amortizes per-sender table construction
+  precomputed tables for signing and a GLV-split Shamir ladder for
+  verification from :mod:`repro.blockchain.fastec`, plus an LRU
+  ``(public key, message digest, signature)`` verification cache and
+  :func:`verify_batch`, which amortizes per-sender table construction
   across a whole block of signatures.
 
 Both produce bit-identical signatures and verdicts (Hypothesis-pinned in

@@ -13,10 +13,16 @@ This module provides the fast path the reference is pinned against:
 * **Fixed-base precomputed tables** for the generator ``G`` — a comb of
   64 × 15 affine multiples (4-bit windows), so ``k·G`` (signing, key
   generation) is ~64 mixed additions and **zero doublings**.
-* **wNAF / Shamir's trick** for verification — ``u1·G + u2·Q`` is computed
-  in one interleaved ladder sharing its doublings, with a width-7 wNAF
-  table for ``G`` (precomputed once) and a width-5 odd-multiples table for
-  ``Q`` (cached per public key, LRU).
+* **GLV split + Shamir's trick** for verification — secp256k1 has an
+  efficiently computable endomorphism ``λ·(x, y) = (β·x, y)`` (Gallant,
+  Lambert and Vanstone, CRYPTO 2001; the split libsecp256k1 uses), so each
+  of ``u1`` and ``u2`` splits into two scalars of at most 128 bits with
+  ``k ≡ k1 + k2·λ (mod N)``.  ``u1·G + u2·Q`` then runs as one interleaved
+  signed-wNAF ladder over four tables sharing ~129 doublings instead of
+  ~257: width-8 odd multiples of ``G`` and ``λG`` (precomputed once),
+  the width-5 odd-multiples table of ``Q`` (cached per public key, LRU),
+  and ``λQ``'s, derived per ladder by multiplying each ``x`` of ``Q``'s
+  table by ``β``.
 * **Montgomery batch inversion** to normalize whole tables with a single
   modular inversion.
 
@@ -41,9 +47,19 @@ AffinePoint = Tuple[int, int]
 # Jacobian (X, Y, Z) with x = X/Z^2, y = Y/Z^3; None is the point at infinity.
 JacobianPoint = Optional[Tuple[int, int, int]]
 
+# The secp256k1 endomorphism: λ·(x, y) = (β·x, y) for every curve point,
+# where β³ ≡ 1 (mod P) and λ³ ≡ 1 (mod N).
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# A short basis (A1, B1), (A2, B2) of the lattice {(a, b): a + b·λ ≡ 0 (mod N)}.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
 _COMB_WINDOW = 4
 _COMB_WINDOWS = 64  # 256 bits / 4-bit windows
-_G_NAF_WIDTH = 7    # wNAF width for the fixed generator table (32 odd multiples)
+_GLV_G_WIDTH = 8    # wNAF width for the fixed G and λG tables (64 odd multiples each)
 _Q_NAF_WIDTH = 5    # wNAF width for per-public-key tables (8 odd multiples)
 
 # Must exceed the number of distinct signers a scenario re-verifies in a
@@ -175,7 +191,8 @@ def is_on_curve(point: Optional[AffinePoint]) -> bool:
 # -- precomputed tables --------------------------------------------------------
 
 _comb_table: Optional[List[List[AffinePoint]]] = None
-_g_naf_table: Optional[List[AffinePoint]] = None
+# (G table, λG table) of width-8 odd multiples.
+_glv_g_tables: Optional[Tuple[List[AffinePoint], List[AffinePoint]]] = None
 # public key (affine tuple) -> width-5 odd-multiples table, LRU-evicted.
 _pubkey_tables: "OrderedDict[AffinePoint, List[AffinePoint]]" = OrderedDict()
 
@@ -208,12 +225,18 @@ def comb_table() -> List[List[AffinePoint]]:
     return _comb_table
 
 
-def g_naf_table() -> List[AffinePoint]:
-    """Odd multiples of G for width-7 wNAF: [G, 3G, ..., 63G] (digits ≤ ±63)."""
-    global _g_naf_table
-    if _g_naf_table is None:
-        _g_naf_table = _odd_multiples((GX, GY), 1 << (_G_NAF_WIDTH - 2))
-    return _g_naf_table
+def _endomorphism(table: List[AffinePoint]) -> List[AffinePoint]:
+    """λ·T for every point T of *table*: one multiplication by β per entry."""
+    return [(BETA * x % P, y) for x, y in table]
+
+
+def glv_g_tables() -> Tuple[List[AffinePoint], List[AffinePoint]]:
+    """Width-8 odd multiples of G and of λG: [G, 3G, ..., 127G] and its λ image."""
+    global _glv_g_tables
+    if _glv_g_tables is None:
+        g_table = _odd_multiples((GX, GY), 1 << (_GLV_G_WIDTH - 2))
+        _glv_g_tables = (g_table, _endomorphism(g_table))
+    return _glv_g_tables
 
 
 def table_for_pubkey(point: AffinePoint) -> List[AffinePoint]:
@@ -235,9 +258,9 @@ def table_for_pubkey(point: AffinePoint) -> List[AffinePoint]:
 
 def clear_tables() -> None:
     """Drop every cached table (tests and memory-pressure hooks)."""
-    global _comb_table, _g_naf_table
+    global _comb_table, _glv_g_tables
     _comb_table = None
-    _g_naf_table = None
+    _glv_g_tables = None
     _pubkey_tables.clear()
 
 
@@ -280,27 +303,31 @@ def mul_g(k: int) -> Optional[AffinePoint]:
     return jac_to_affine(acc)
 
 
-def mul_point(k: int, point: Optional[AffinePoint]) -> Optional[AffinePoint]:
-    """k·P for an arbitrary (on-curve) point via width-5 wNAF."""
-    k %= N
-    if k == 0 or point is None:
-        return None
-    table = table_for_pubkey(point)
-    digits = wnaf(k, _Q_NAF_WIDTH)
-    acc: JacobianPoint = None
-    for i in range(len(digits) - 1, -1, -1):
-        acc = jac_double(acc)
-        digit = digits[i]
-        if digit:
-            px, py = table[abs(digit) >> 1]
-            acc = jac_add_affine(acc, (px, py if digit > 0 else P - py))
-    return jac_to_affine(acc)
+def glv_split(k: int) -> Tuple[int, int]:
+    """Split *k* into (k1, k2) with k ≡ k1 + k2·λ (mod N), each at most 128 bits.
+
+    (k1, k2) is (k, 0) minus a nearby vector of the lattice spanned by the
+    short basis (Babai rounding), so either half may be negative.
+    """
+    c1 = (_B2 * k + N // 2) // N
+    c2 = (-_B1 * k + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _signed_wnaf(k: int, width: int) -> List[int]:
+    """wNAF of a possibly negative scalar: |k|'s digits, negated if k < 0."""
+    if k < 0:
+        return [-digit for digit in wnaf(-k, width)]
+    return wnaf(k, width)
 
 
 def shamir_mul(u1: int, u2: int, point: Optional[AffinePoint],
                point_table: Optional[List[AffinePoint]] = None) -> Optional[AffinePoint]:
     """u1·G + u2·P in one interleaved wNAF ladder (shared doublings).
 
+    Both scalars are GLV-split, so the ladder adds from four tables — G, λG,
+    P and λP — over at most 129 doublings.  *point* must lie on the curve:
+    the endomorphism that derives λP's table holds only there.
     *point_table* lets a caller that already fetched the per-key table (the
     batch verifier) skip the cache lookup.
     """
@@ -308,19 +335,22 @@ def shamir_mul(u1: int, u2: int, point: Optional[AffinePoint],
     u2 %= N
     if u2 == 0 or point is None:
         return mul_g(u1)
-    g_digits = wnaf(u1, _G_NAF_WIDTH)
-    q_digits = wnaf(u2, _Q_NAF_WIDTH)
-    g_table = g_naf_table()
+    g_table, lambda_g_table = glv_g_tables()
     q_table = point_table if point_table is not None else table_for_pubkey(point)
+    g1, g2 = glv_split(u1)
+    q1, q2 = glv_split(u2)
+    terms = (
+        (_signed_wnaf(g1, _GLV_G_WIDTH), g_table),
+        (_signed_wnaf(g2, _GLV_G_WIDTH), lambda_g_table),
+        (_signed_wnaf(q1, _Q_NAF_WIDTH), q_table),
+        (_signed_wnaf(q2, _Q_NAF_WIDTH), _endomorphism(q_table)),
+    )
     acc: JacobianPoint = None
-    for i in range(max(len(g_digits), len(q_digits)) - 1, -1, -1):
+    for i in range(max(len(digits) for digits, _ in terms) - 1, -1, -1):
         acc = jac_double(acc)
-        if i < len(g_digits) and g_digits[i]:
-            digit = g_digits[i]
-            px, py = g_table[abs(digit) >> 1]
-            acc = jac_add_affine(acc, (px, py if digit > 0 else P - py))
-        if i < len(q_digits) and q_digits[i]:
-            digit = q_digits[i]
-            px, py = q_table[abs(digit) >> 1]
-            acc = jac_add_affine(acc, (px, py if digit > 0 else P - py))
+        for digits, table in terms:
+            if i < len(digits) and digits[i]:
+                digit = digits[i]
+                px, py = table[abs(digit) >> 1]
+                acc = jac_add_affine(acc, (px, py if digit > 0 else P - py))
     return jac_to_affine(acc)

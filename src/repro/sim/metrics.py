@@ -3,8 +3,10 @@
 Benchmarks and the end-to-end scenario runner record counters (transactions
 submitted, policies violated), gauges (pending transactions, stored copies),
 and latency distributions (process completion times).  The registry keeps
-everything in memory and renders compact report dictionaries, which
-``EXPERIMENTS.md`` and the benchmark harness print.
+everything in memory and renders compact report dictionaries.  The figures
+the benchmarks record go to the ``BENCH_*.json`` artifacts instead
+(``benchmarks/bench_helpers.py``), and the repository benchmark's per-layer
+timings come from ``perfbench/``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,31 @@
 """Hypothesis pins: the fast crypto path is bit-identical to the reference.
 
 :mod:`repro.blockchain.fastec` replaces the reference affine double-and-add
-with fixed-base comb tables (sign) and a Shamir wNAF ladder (verify).  The
-two implementations must be indistinguishable:
+with fixed-base comb tables (sign) and a GLV-split Shamir wNAF ladder
+(verify).  The two implementations must be indistinguishable:
 
 * ``sign`` == ``reference_sign``, bit for bit, including the low-s form;
 * ``verify`` == ``reference_verify`` on valid signatures, wrong keys,
   tampered messages, and tampered signatures;
 * the scalar-multiplication primitives agree with the reference ladder on
-  arbitrary scalars (including the group-order edge cases);
+  arbitrary scalars (including the group-order edge cases) and on the
+  degenerate ladders where an addition meets a doubling, the sum is
+  infinity, or the key is ``λG``;
+* the GLV split recombines to its scalar with halves of at most 128 bits,
+  so one verification ladder runs at most 129 doublings;
 * the verification cache can never serve a stale verdict across a key
   rotation, because the public key is part of the cache key;
-* ``verify_batch`` agrees item-by-item with ``verify``.
+* ``verify_batch`` agrees item-by-item with ``verify``, malformed
+  signatures and off-curve keys included.
 
 The ``slow`` acceptance test replays the full sign/verify equivalence on
 500 derandomized generated cases.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.blockchain import fastec
 from repro.blockchain.crypto import (
@@ -48,19 +55,74 @@ def test_fixed_base_comb_matches_reference_ladder(k):
     assert fastec.mul_g(k) == _point_multiply(k, _G)
 
 
-@given(scalars, private_keys)
-@settings(max_examples=20, deadline=None)
-def test_wnaf_point_multiplication_matches_reference(k, secret):
-    point = fastec.mul_g(secret)
-    assert fastec.mul_point(k, point) == _point_multiply(k, point)
+def _reference_sum(u1, u2, point):
+    return _point_add(_point_multiply(u1, _G), _point_multiply(u2, point))
 
 
 @given(scalars, scalars, private_keys)
 @settings(max_examples=20, deadline=None)
 def test_shamir_ladder_matches_reference_sum(u1, u2, secret):
     point = fastec.mul_g(secret)
-    expected = _point_add(_point_multiply(u1, _G), _point_multiply(u2, point))
-    assert fastec.shamir_mul(u1, u2, point) == expected
+    assert fastec.shamir_mul(u1, u2, point) == _reference_sum(u1, u2, point)
+
+
+# -- the GLV split -------------------------------------------------------------
+
+
+@given(st.integers(0, _N - 1))
+@example(0)
+@example(1)
+@example(_N - 1)
+@example(_N // 2)
+@example(fastec.LAMBDA)
+@example(_N - fastec.LAMBDA)
+@settings(max_examples=200, deadline=None)
+def test_glv_split_recombines_into_two_halves_of_at_most_128_bits(k):
+    k1, k2 = fastec.glv_split(k)
+    assert (k1 + k2 * fastec.LAMBDA) % _N == k
+    assert abs(k1).bit_length() <= 128
+    assert abs(k2).bit_length() <= 128
+
+
+def test_endomorphism_constants_map_g_to_lambda_g():
+    assert pow(fastec.BETA, 3, fastec.P) == 1
+    assert pow(fastec.LAMBDA, 3, _N) == 1
+    assert _point_multiply(fastec.LAMBDA, _G) == (fastec.BETA * _G[0] % fastec.P, _G[1])
+
+
+@given(st.integers(1, _N - 1))
+@settings(max_examples=10, deadline=None)
+def test_ladder_on_q_equal_g_meets_a_doubling(u1):
+    """Q = G, u2 = u1: the G and Q terms add the same points in step."""
+    assert fastec.shamir_mul(u1, u1, _G) == _reference_sum(u1, u1, _G)
+
+
+@given(st.integers(1, _N - 1))
+@settings(max_examples=10, deadline=None)
+def test_ladder_on_q_equal_g_with_opposite_scalars_is_infinity(u1):
+    assert _reference_sum(u1, _N - u1, _G) is None
+    assert fastec.shamir_mul(u1, _N - u1, _G) is None
+
+
+@given(st.integers(1, _N - 1), st.integers(1, _N - 1))
+@settings(max_examples=10, deadline=None)
+def test_ladder_on_q_equal_lambda_g(u1, u2):
+    lambda_g = (fastec.BETA * _G[0] % fastec.P, _G[1])
+    assert fastec.shamir_mul(u1, u2, lambda_g) == _reference_sum(u1, u2, lambda_g)
+
+
+@given(st.integers(1, _N - 1), st.integers(1, _N - 1))
+@settings(max_examples=25, deadline=None)
+def test_verification_ladder_runs_at_most_129_doublings(u1, u2):
+    """Half-length ladder pin: the GLV halves are at most 128 bits, so their
+    wNAF has at most 129 digits and the ladder doubles once per digit (an
+    unsplit 256-bit ladder doubles 257 times)."""
+    point = KeyPair.from_name("doubling-count").public_key
+    fastec.shamir_mul(1, 1, point)  # build the G, λG and Q tables first
+    with mock.patch.object(fastec, "jac_double", wraps=fastec.jac_double) as doubling:
+        result = fastec.shamir_mul(u1, u2, point)
+    assert doubling.call_count <= 129
+    assert result is not None
 
 
 # -- sign/verify equivalence ---------------------------------------------------
@@ -117,10 +179,13 @@ def test_tampered_signature_rejected_by_both_paths(private_key, message, delta):
     assert verify(public_key, message, forged) is False or forged == (r, s)
 
 
+MALFORMED_SIGNATURES = (None, (), (1,), (0, 1), (1, 0), (_N, 1), (1, _N), "nope", (1.5, 2))
+
+
 def test_malformed_signatures_rejected_identically():
     kp = KeyPair.from_name("malformed-sig-check")
     message = b"payload"
-    for bogus in (None, (), (1,), (0, 1), (1, 0), (_N, 1), (1, _N), "nope", (1.5, 2)):
+    for bogus in MALFORMED_SIGNATURES:
         assert verify(kp.public_key, message, bogus) is False  # type: ignore[arg-type]
 
 
@@ -129,6 +194,34 @@ def test_off_curve_public_key_is_rejected():
     signature = kp.sign(b"payload")
     x, y = kp.public_key
     assert verify((x, (y + 1) % fastec.P), b"payload", signature) is False
+
+
+def test_verify_batch_rejects_bad_items_item_by_item_like_verify(monkeypatch):
+    """Malformed signatures and an off-curve key are rejected in place, before
+    any table is built for them, and the well-formed items between them keep
+    their verdicts."""
+    kp = KeyPair.from_name("batch-malformed-check")
+    message = b"payload"
+    good = (kp.public_key, message, kp.sign(message))
+    x, y = kp.public_key
+    off_curve = ((x, (y + 1) % fastec.P), message, good[2])
+    triples = [good]
+    for bogus in MALFORMED_SIGNATURES:
+        triples += [(kp.public_key, message, bogus), good]
+    triples.append(off_curve)
+
+    built = []
+    real = fastec.table_for_pubkey
+
+    def counting(point):
+        built.append(point)
+        return real(point)
+
+    monkeypatch.setattr(fastec, "table_for_pubkey", counting)
+    verdicts = verify_batch(triples)  # type: ignore[arg-type]
+    assert verdicts == [True] + [False, True] * len(MALFORMED_SIGNATURES) + [False]
+    assert verdicts == [verify(*triple) for triple in triples]  # type: ignore[arg-type]
+    assert built == [kp.public_key]
 
 
 # -- caches --------------------------------------------------------------------
