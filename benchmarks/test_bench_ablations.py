@@ -1,4 +1,4 @@
-"""Ablations over the design choices called out in DESIGN.md §6.
+"""Ablations over three design choices of the architecture (see the README).
 
 * **Block interval** — latency vs cost amortization: a longer Proof-of-
   Authority block interval delays confirmation of every push-in operation but

@@ -23,8 +23,8 @@ Quickstart::
     )
     resource_initiation(arch, alice, "/data/browsing.csv", b"...", policy)
 
-See ``examples/`` for complete walk-throughs and ``DESIGN.md`` for the system
-inventory.
+See ``examples/`` for complete walk-throughs and the README's architecture map
+for the system inventory.
 """
 
 from repro.core.architecture import ArchitectureConfig, UsageControlArchitecture

@@ -6,6 +6,13 @@ the benchmarks need: append validated blocks, look up blocks/transactions/
 receipts, verify the whole chain (the tamper-evidence property of
 Section V-2), and rebuild the state by replaying blocks.
 
+Transactions are executed in one place, :func:`execute_transactions`.  A
+sealed block the chain did not build itself — a peer's, a reorg branch, the
+store's non-final tail, or any block under :meth:`Blockchain.replay` — goes
+through :func:`execute_block`, which checks the header's ``gas_used``,
+``receipts_root`` and ``state_root`` against that execution, so every path
+checks a block the same way.
+
 Appending a block maintains a set of indexes so lookups never scan the chain:
 
 * ``tx hash -> (block number, position)`` behind :meth:`transaction_by_hash`;
@@ -49,6 +56,78 @@ GENESIS_PARENT_HASH = "0x" + "00" * 32
 DEFAULT_MAX_REORG_DEPTH = 64
 
 
+def execute_transactions(vm: ContractVM, transactions: List[Transaction],
+                         context: BlockContext) -> Tuple[List[Receipt], int]:
+    """Run *transactions* in order on *vm*'s state: ``(receipts, gas used)``.
+
+    The one place a block's transactions are executed — production, peer
+    import, reorg, the cold-start tail and replay all come through here —
+    and where receipts and their logs are stamped with the block number,
+    transaction hash and log index.
+    """
+    receipts: List[Receipt] = []
+    gas_used = 0
+    for tx in transactions:
+        receipt = vm.execute_transaction(tx, context)
+        receipt.block_number = context.number
+        for index, log in enumerate(receipt.logs):
+            log.block_number = context.number
+            log.transaction_hash = tx.hash
+            log.log_index = index
+        receipts.append(receipt)
+        gas_used += receipt.gas_used
+    return receipts, gas_used
+
+
+def execute_block(vm: ContractVM, block: Block) -> List[Receipt]:
+    """Execute a sealed block on *vm*'s state and check its header against it.
+
+    Raises :class:`IntegrityError` when the header's ``gas_used``,
+    ``receipts_root`` or ``state_root`` does not match the execution — the
+    check that catches a forgery surviving a re-seal.  Returns the receipts
+    of the execution; the caller owns the state's journal frame.
+    """
+    header = block.header
+    context = BlockContext(
+        number=header.number, timestamp=header.timestamp, proposer=header.proposer
+    )
+    receipts, gas_used = execute_transactions(vm, block.transactions, context)
+    if gas_used != header.gas_used:
+        raise IntegrityError(
+            f"block {header.number} header claims gas_used={header.gas_used} "
+            f"but its transactions consume {gas_used}"
+        )
+    if Block.compute_receipts_root(receipts) != header.receipts_root:
+        raise IntegrityError(
+            f"block {header.number} receipts do not match the executed transactions"
+        )
+    if header.state_root != vm.state.state_root():
+        raise IntegrityError(
+            f"block {header.number} commits to a state root that does not match "
+            f"the state its transactions produce"
+        )
+    return receipts
+
+
+def check_signatures(block: Block) -> None:
+    """Re-verify every signature a block's transactions carry.
+
+    One amortized :func:`verify_transactions` pass; raises
+    :class:`IntegrityError` naming the first forged transactions.
+    Unsigned transactions carry nothing to verify and pass.
+    """
+    signed = [tx for tx in block.transactions
+              if tx.signature is not None or tx.public_key is not None]
+    if not signed:
+        return
+    forged = [tx.hash for tx, ok in zip(signed, verify_transactions(signed)) if not ok]
+    if forged:
+        raise IntegrityError(
+            f"block {block.number} carries transaction(s) with forged "
+            f"signatures: {forged[:3]}"
+        )
+
+
 class Blockchain:
     """A chain of validated blocks, a block tree of competing tips, and state."""
 
@@ -56,25 +135,19 @@ class Blockchain:
                  schedule: Optional[GasSchedule] = None, clock: Optional[Clock] = None,
                  genesis_balances: Optional[Dict[str, int]] = None,
                  max_reorg_depth: int = DEFAULT_MAX_REORG_DEPTH,
-                 genesis_timestamp: Optional[float] = None,
-                 root_scheme: Optional[int] = None):
+                 genesis_timestamp: Optional[float] = None):
         self.consensus = consensus
         self.clock = clock if clock is not None else SystemClock()
         # A restart must rebuild a bit-identical genesis even though the
         # shared clock has advanced; the store's manifest carries the
         # original timestamp and passes it back through here.
         self._genesis_timestamp = genesis_timestamp
-        # State-root scheme: the genesis header commits to a root, so a
-        # restart must construct the state with the scheme the store was
-        # created under (the manifest carries it, like the timestamp above).
-        # None means "current default" — fresh chains use binary roots.
-        self.state = WorldState() if root_scheme is None else WorldState(root_scheme=root_scheme)
-        self.root_scheme = self.state.root_scheme
+        self._genesis_balances = dict(genesis_balances or {})
+        self.state = self._genesis_state()
         self.vm = ContractVM(self.state, registry, schedule)
         self.blocks: List[Block] = []
         self._receipts_by_tx: Dict[str, Receipt] = {}
         self._blocks_by_hash: Dict[str, Block] = {}
-        self._genesis_balances = dict(genesis_balances or {})
         # -- block tree / fork choice -----------------------------------------
         if max_reorg_depth < 1:
             raise ValidationError("max_reorg_depth must be at least 1")
@@ -120,9 +193,14 @@ class Blockchain:
 
     # -- genesis -----------------------------------------------------------
 
-    def _create_genesis(self) -> None:
+    def _genesis_state(self) -> WorldState:
+        """A fresh world state holding only the genesis balances."""
+        state = WorldState()
         for address, balance in self._genesis_balances.items():
-            self.state.create_account(address, balance=balance)
+            state.create_account(address, balance=balance)
+        return state
+
+    def _create_genesis(self) -> None:
         header = BlockHeader(
             number=0,
             parent_hash=GENESIS_PARENT_HASH,
@@ -271,26 +349,17 @@ class Blockchain:
             self._pending_frame = False
         self.state.begin()
         self._pending_frame = True
-        block_number = self.height + 1
-        block_timestamp = timestamp if timestamp is not None else self.clock.now()
-        block_context = BlockContext(number=block_number, timestamp=block_timestamp, proposer=proposer)
-        receipts: List[Receipt] = []
-        included: List[Transaction] = []
-        gas_used = 0
-        for tx in transactions:
-            receipt = self.vm.execute_transaction(tx, block_context)
-            receipt.block_number = block_number
-            for index, log in enumerate(receipt.logs):
-                log.block_number = block_number
-                log.transaction_hash = tx.hash
-                log.log_index = index
-            receipts.append(receipt)
-            included.append(tx)
-            gas_used += receipt.gas_used
+        context = BlockContext(
+            number=self.height + 1,
+            timestamp=timestamp if timestamp is not None else self.clock.now(),
+            proposer=proposer,
+        )
+        included = list(transactions)
+        receipts, gas_used = execute_transactions(self.vm, included, context)
         header = BlockHeader(
-            number=block_number,
+            number=context.number,
             parent_hash=self.head.hash,
-            timestamp=block_timestamp,
+            timestamp=context.timestamp,
             transactions_root=Block.compute_transactions_root(included),
             receipts_root=Block.compute_receipts_root(receipts),
             # The incremental root only re-hashes accounts touched by the
@@ -431,12 +500,8 @@ class Blockchain:
             if self.snapshot_interval and block.number % self.snapshot_interval == 0:
                 # The head state right now IS the state at this height; the
                 # snapshot stays pending until the height finalizes below.
-                # The block's root was just computed, so the digest caches
-                # are warm — persist them next to the state as a sidecar the
-                # loader cross-checks after verifying the snapshot.
                 self.store.write_pending_snapshot(
-                    block.number, block.header.state_root, self.state.to_dict(),
-                    digests=self.state.digests_payload(),
+                    block.number, block.header.state_root, self.state.to_dict()
                 )
         while self._open_frames > self.max_reorg_depth:
             finalized = self.height - self._open_frames + 1
@@ -558,16 +623,11 @@ class Blockchain:
             self._invalid_blocks.add(block.hash)
             raise IntegrityError(f"block {block.number} extends an invalid branch")
         self.consensus.validate_block(block, parent.header)
-        signed = [tx for tx in block.transactions
-                  if tx.signature is not None or tx.public_key is not None]
-        if signed:
-            forged = [tx.hash for tx, ok in zip(signed, verify_transactions(signed)) if not ok]
-            if forged:
-                self._invalid_blocks.add(block.hash)
-                raise IntegrityError(
-                    f"block {block.number} carries transaction(s) with forged "
-                    f"signatures: {forged[:3]}"
-                )
+        try:
+            check_signatures(block)
+        except IntegrityError:
+            self._invalid_blocks.add(block.hash)
+            raise
         self._blocks_by_hash[block.hash] = block
         self._add_to_tree(block)
         self.observe_seal(block)
@@ -585,56 +645,21 @@ class Blockchain:
         return "side", [], []
 
     def _apply_block(self, block: Block) -> None:
-        """Execute a stored block on the head state, validate, and index it."""
-        replayed = self._execute_block(block)
-        block.receipts = replayed
-        self._adopt_canonical(block)
+        """Execute a stored block on the head state, validate, and adopt it.
 
-    def _execute_block(self, block: Block) -> List[Receipt]:
-        """Run a block's transactions in a fresh frame; validate the header.
-
-        Raises :class:`IntegrityError` (after rolling the frame back) when
-        the header's ``gas_used``, ``receipts_root``, or ``state_root`` do
-        not match the execution — the defense that keeps a forged branch
-        from ever becoming canonical.  On success the frame stays open (it
-        becomes the block's reorg frame) and the replayed receipts are
-        returned.
+        The block runs in a fresh journal frame.  When its header does not
+        match the execution (:func:`execute_block` raises
+        :class:`IntegrityError`) the frame is rolled back, so a forged
+        branch never becomes canonical; otherwise the frame stays open as
+        the block's reorg frame.
         """
-        header = block.header
         self.state.begin()
-        context = BlockContext(
-            number=header.number, timestamp=header.timestamp, proposer=header.proposer
-        )
-        replayed: List[Receipt] = []
-        gas_total = 0
         try:
-            for tx in block.transactions:
-                receipt = self.vm.execute_transaction(tx, context)
-                receipt.block_number = header.number
-                for index, log in enumerate(receipt.logs):
-                    log.block_number = header.number
-                    log.transaction_hash = tx.hash
-                    log.log_index = index
-                replayed.append(receipt)
-                gas_total += receipt.gas_used
-            if gas_total != header.gas_used:
-                raise IntegrityError(
-                    f"block {header.number} header claims gas_used={header.gas_used} "
-                    f"but its transactions consume {gas_total}"
-                )
-            if Block.compute_receipts_root(replayed) != header.receipts_root:
-                raise IntegrityError(
-                    f"block {header.number} receipts do not match the local execution"
-                )
-            if header.state_root != self.state.state_root():
-                raise IntegrityError(
-                    f"block {header.number} commits to a state root that does not match "
-                    f"the state its transactions produce"
-                )
+            block.receipts = execute_block(self.vm, block)
         except IntegrityError:
             self.state.rollback()
             raise
-        return replayed
+        self._adopt_canonical(block)
 
     def _mark_invalid(self, block_hash: str) -> None:
         """Mark a block and every stored descendant as permanently invalid."""
@@ -775,68 +800,26 @@ class Blockchain:
     def replay(self) -> WorldState:
         """Rebuild the world state from genesis, checking every header.
 
-        Re-executes each block's transactions on a fresh state (sharing this
-        chain's contract registry and gas schedule) and raises
-        :class:`IntegrityError` when a header's ``gas_used`` differs from
-        the replayed receipts, when the replayed receipts do not hash to the
-        header's ``receipts_root``, or when the replayed state does not hash
-        to the header's ``state_root``.  Returns the rebuilt state.
+        Re-executes each block's transactions on a fresh genesis state
+        (sharing this chain's contract registry and gas schedule) through
+        :func:`execute_block`, which raises :class:`IntegrityError` when a
+        header's ``gas_used``, ``receipts_root`` or ``state_root`` does not
+        match the replayed execution.  Returns the rebuilt state.
 
         Every transaction that carries signature material is additionally
-        re-verified — one amortized :func:`verify_transactions` pass per
-        block — so a forged signature smuggled into a block (e.g. by a
-        deployment running with ``require_signatures=False``) is rejected
-        even though its Merkle roots and seal are internally consistent.
-        Unsigned transactions are tolerated for exactly those deployments.
+        re-verified (:func:`check_signatures`), so a forged signature
+        smuggled into a block (e.g. by a deployment running with
+        ``require_signatures=False``) is rejected even though its Merkle
+        roots and seal are internally consistent.  Unsigned transactions
+        are tolerated for exactly those deployments.
         """
-        state = WorldState(root_scheme=self.root_scheme)
-        for address, balance in self._genesis_balances.items():
-            state.create_account(address, balance=balance)
+        state = self._genesis_state()
         vm = ContractVM(state, self.vm.registry, self.vm.schedule)
-        genesis = self.blocks[0]
-        if genesis.header.state_root != state.state_root():
+        if self.blocks[0].header.state_root != state.state_root():
             raise IntegrityError("genesis state_root does not match the genesis balances")
         for block in self.blocks[1:]:
-            signed = [tx for tx in block.transactions
-                      if tx.signature is not None or tx.public_key is not None]
-            if signed:
-                forged = [tx.hash for tx, ok in zip(signed, verify_transactions(signed))
-                          if not ok]
-                if forged:
-                    raise IntegrityError(
-                        f"block {block.number} contains transaction(s) with forged "
-                        f"signatures: {forged[:3]}"
-                    )
-            context = BlockContext(
-                number=block.number,
-                timestamp=block.header.timestamp,
-                proposer=block.header.proposer,
-            )
-            replayed: List[Receipt] = []
-            gas_total = 0
-            for tx in block.transactions:
-                receipt = vm.execute_transaction(tx, context)
-                receipt.block_number = block.number
-                for index, log in enumerate(receipt.logs):
-                    log.block_number = block.number
-                    log.transaction_hash = tx.hash
-                    log.log_index = index
-                replayed.append(receipt)
-                gas_total += receipt.gas_used
-            if gas_total != block.header.gas_used:
-                raise IntegrityError(
-                    f"block {block.number} header claims gas_used={block.header.gas_used} "
-                    f"but its transactions consume {gas_total}"
-                )
-            if Block.compute_receipts_root(replayed) != block.header.receipts_root:
-                raise IntegrityError(
-                    f"block {block.number} receipts do not match the replayed execution"
-                )
-            if block.header.state_root != state.state_root():
-                raise IntegrityError(
-                    f"block {block.number} commits to a state root that does not match "
-                    f"the state produced by replaying its transactions"
-                )
+            check_signatures(block)
+            execute_block(vm, block)
         return state
 
     # -- cold start from disk ----------------------------------------------------
@@ -930,25 +913,11 @@ class Blockchain:
                         f"state commitment"
                     )
                     continue
-                candidate = WorldState.from_dict(
-                    payload.get("state", {}), root_scheme=self.root_scheme
-                )
+                candidate = WorldState.from_dict(payload.get("state", {}))
                 if candidate.state_root() != claimed_root:
                     report.snapshots_rejected.append(
                         f"snapshot at height {height} claims state_root "
                         f"{claimed_root} but its contents hash differently"
-                    )
-                    continue
-                # Cross-check the persisted slot-digest sidecar (when the
-                # snapshot carries one) against the digests the verification
-                # pass just recomputed.  Old snapshots without a sidecar
-                # stay loadable; a sidecar that disagrees with the state it
-                # rode in with means corruption — reject the snapshot.
-                digests = payload.get("digests")
-                if digests is not None and not candidate.digests_match(digests):
-                    report.snapshots_rejected.append(
-                        f"snapshot at height {height} carries a slot-digest "
-                        f"sidecar that does not match its own state"
                     )
                     continue
                 snapshot_state, snapshot_height = candidate, height
@@ -972,25 +941,7 @@ class Blockchain:
                 # The rotation is STATE, not config: re-derive it from the
                 # restored contract state at the snapshot boundary rather
                 # than trusting the sidecar, which is only an accelerator.
-                if (
-                    epoch_length > 0
-                    and self.validator_registry_address is not None
-                    and snapshot_height % epoch_length == 0
-                ):
-                    boundary = self.blocks[snapshot_height]
-                    active = self.vm.call_readonly(
-                        self.validator_registry_address,
-                        "active_validators",
-                        block=BlockContext(
-                            number=boundary.number,
-                            timestamp=boundary.header.timestamp,
-                            proposer=boundary.header.proposer,
-                        ),
-                    )
-                    if active:
-                        self.consensus.record_rotation(
-                            snapshot_height // epoch_length, list(active)
-                        )
+                self._maybe_derive_rotation(self.blocks[snapshot_height])
             # Re-execute the non-final tail with full validation; each block
             # opens its reorg frame exactly as live adoption would.
             for block in blocks[snapshot_height:]:

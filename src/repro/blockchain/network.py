@@ -43,12 +43,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.clock import Clock, SimulatedClock
-from repro.common.errors import NotFoundError, SignatureError, ValidationError
+from repro.common.errors import NotFoundError, ValidationError
 from repro.blockchain.block import Block
 from repro.blockchain.consensus import EquivocationProof, ProofOfAuthority
 from repro.blockchain.crypto import KeyPair
 from repro.blockchain.gas import GasSchedule
-from repro.blockchain.node import BlockchainNode
+from repro.blockchain.node import BlockchainNode, forged_batch_error
 from repro.blockchain.state import copy_jsonlike
 from repro.blockchain.storage import validator_store_path
 from repro.blockchain.transaction import Transaction
@@ -499,10 +499,7 @@ class BlockchainNetwork:
                     validator.node.drop_transactions(hashes)
             # The slot aborts before anything is mined; not a liveness fault.
             entry["reason"] = "forged-transactions"
-            raise SignatureError(
-                f"{len(invalid)} batched transaction(s) carry invalid signatures "
-                f"(first: {hashes[0]})"
-            )
+            raise forged_batch_error(invalid)
         timestamp = self.clock.now()
         if proposer.pending_equivocation:
             proposer.pending_equivocation = False
@@ -552,9 +549,6 @@ class BlockchainNetwork:
     def _advance_clock(self) -> None:
         if isinstance(self.clock, SimulatedClock):
             self.clock.advance(self.consensus.block_interval)
-
-    # Backwards-compatible alias (pre-node-backed network API).
-    clock_advance = _advance_clock
 
     # -- replication ------------------------------------------------------------
 
@@ -715,10 +709,6 @@ class BlockchainNetwork:
                 continue
             target.import_block(self._wire(block))
         self._collect_proofs()
-
-    # Kept for API compatibility with the pre-node-backed network.
-    def _resync(self, validator: NetworkValidator) -> None:
-        self._sync_to_best(validator)
 
     # -- health ------------------------------------------------------------------------
 

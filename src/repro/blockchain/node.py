@@ -26,14 +26,15 @@ from repro.blockchain.transaction import LogEntry, Receipt, Transaction, verify_
 from repro.blockchain.vm import BlockContext, ContractRegistry
 
 
-@dataclass
+@dataclass(eq=False)
 class EventFilter:
     """A subscription over contract event logs.
 
     ``address`` and ``event`` narrow the logs delivered; ``callback`` (when
     given) is invoked synchronously for each matching log as blocks are
     produced — this is exactly the hook the push-out oracle's off-chain
-    component uses.
+    component uses.  Two subscriptions are equal only when they are the same
+    object, so removing one never compares the logs each has collected.
     """
 
     address: Optional[str] = None
@@ -63,6 +64,14 @@ class EventFilter:
         self.active = False
 
 
+def forged_batch_error(invalid: List[Transaction]) -> SignatureError:
+    """The error that aborts production when deferred signatures are forged."""
+    return SignatureError(
+        f"{len(invalid)} batched transaction(s) carry invalid signatures "
+        f"(first: {invalid[0].hash})"
+    )
+
+
 class BlockchainNode:
     """A validating node with a pending-transaction pool and event filters."""
 
@@ -75,8 +84,7 @@ class BlockchainNode:
                  persist_dir: Optional[str] = None,
                  max_reorg_depth: Optional[int] = None,
                  snapshot_interval: int = 0,
-                 genesis_timestamp: Optional[float] = None,
-                 root_scheme: Optional[int] = None):
+                 genesis_timestamp: Optional[float] = None):
         # A static committee is closed: the node's key must be in it.  An
         # epoch-aware deployment admits keys outside the genesis set — a
         # joiner's authority comes from the registry contract, and the slot
@@ -92,7 +100,6 @@ class BlockchainNode:
                 else DEFAULT_MAX_REORG_DEPTH
             ),
             genesis_timestamp=genesis_timestamp,
-            root_scheme=root_scheme,
         )
         # Populated by open_from_disk with what recovery found on disk.
         self.recovery: Optional[RecoveryReport] = None
@@ -107,7 +114,6 @@ class BlockchainNode:
                 snapshot_interval=snapshot_interval,
                 require_signatures=require_signatures,
                 genesis_timestamp=self.chain.blocks[0].header.timestamp,
-                root_scheme=self.chain.root_scheme,
             )
             self.chain.attach_store(store)
             store.record_contracts(
@@ -242,7 +248,6 @@ class BlockchainNode:
             require_signatures=store.require_signatures,
             max_reorg_depth=store.max_reorg_depth,
             genesis_timestamp=store.genesis_timestamp,
-            root_scheme=store.root_scheme,
         )
         node.chain.load_from_store(store, report)
         node.recovery = report
@@ -300,9 +305,9 @@ class BlockchainNode:
         """Batch-verify deferred signatures; drop and return the invalid ones.
 
         Invalid transactions are removed from the pending pool (so a later
-        block cannot include them); the caller decides how to surface the
-        failure (the single-node path raises, the network additionally
-        drops them from every replica before raising).
+        block cannot include them); the caller raises
+        :func:`forged_batch_error` for them (the network first drops them
+        from every other replica too).
         """
         if not self._deferred_verification:
             return []
@@ -313,15 +318,6 @@ class BlockchainNode:
         if invalid:
             self._remove_from_pending({id(tx) for tx in invalid}, by_identity=True)
         return invalid
-
-    def _verify_deferred_signatures(self) -> None:
-        """Verify deferred signatures, raising when any transaction is forged."""
-        invalid = self.verify_deferred()
-        if invalid:
-            raise SignatureError(
-                f"{len(invalid)} batched transaction(s) carry invalid signatures "
-                f"(first: {invalid[0].hash})"
-            )
 
     def drop_transactions(self, tx_hashes) -> None:
         """Remove the given transactions from the pending pool (by hash)."""
@@ -379,7 +375,9 @@ class BlockchainNode:
                 else:
                     stalled_rounds = 0
             return block
-        self._verify_deferred_signatures()
+        invalid = self.verify_deferred()
+        if invalid:
+            raise forged_batch_error(invalid)
         proposer = self.consensus.expected_proposer(self.chain.height + 1)
         if proposer != self.validator_key.address:
             # Single-node deployments simply rotate through the schedule; a
@@ -387,29 +385,24 @@ class BlockchainNode:
             raise ValidationError(
                 f"not this node's turn: block {self.chain.height + 1} expects {proposer}"
             )
-        transactions = list(self.pending)
-        self.pending.clear()
-        self._pending_by_sender.clear()
-        block = self.chain.build_block(transactions, proposer, timestamp)
-        self.consensus.seal(block, self.validator_key)
-        self.chain.append_block(block)
-        self.blocks_produced += 1
-        self._dispatch_logs(block)
-        return block
+        return self.propose_block(None, timestamp)
 
-    def propose_block(self, slot: int, timestamp: Optional[float] = None) -> Block:
-        """Seal the pending pool into the block for rotation *slot*.
+    def propose_block(self, slot: Optional[int], timestamp: Optional[float] = None) -> Block:
+        """Build, seal and append the pending pool as the next block.
 
-        Used by the network's production loop: the slot is recorded in the
-        header extra (and therefore covered by the seal), so every replica
-        can check the seal against the rotation schedule.  The caller is
-        responsible for having verified deferred signatures first.
+        The one sealing path: single-node production passes no *slot*; the
+        network's production loop passes the rotation slot, which is
+        recorded in the header extra (and therefore covered by the seal) so
+        every replica can check the seal against the rotation schedule.
+        Single-node headers carry no slot.  The caller is responsible for
+        having verified deferred signatures first.
         """
         transactions = list(self.pending)
         self.pending.clear()
         self._pending_by_sender.clear()
         block = self.chain.build_block(transactions, self.validator_key.address, timestamp)
-        block.header.extra["slot"] = slot
+        if slot is not None:
+            block.header.extra["slot"] = slot
         self.consensus.seal(block, self.validator_key)
         self.chain.append_block(block)
         self.blocks_produced += 1

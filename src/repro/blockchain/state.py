@@ -23,13 +23,17 @@ Three properties keep the hot paths independent of the world size:
   digests, and a second accumulator over the account digests.  Mutations
   mark (account, slot) pairs dirty; recomputing the root only re-hashes the
   dirty slots, so producing a block costs O(slots touched since the last
-  block), not O(world) and not O(an account's whole storage).  Under the
-  binary scheme, dict- and list-valued slots additionally keep one leaf
-  digest per entry, so an entry write re-hashes one leaf rather than
-  re-encoding the whole collection — on-chain indexes with thousands of
-  entries (subscriber maps, evidence logs, round responses) stay O(1) to
-  update.  Repeated calls with no intervening mutation return the cached
-  root string without any hashing at all.
+  block), not O(world) and not O(an account's whole storage).  Dict- and
+  list-valued slots additionally keep one leaf digest per entry, so an
+  entry write re-hashes one leaf rather than re-encoding the whole
+  collection — on-chain indexes with thousands of entries (subscriber
+  maps, evidence logs, round responses) stay O(1) to update.  Repeated
+  calls with no intervening mutation return the cached root string
+  without any hashing at all.
+
+Every digest — slot, entry, item, account and the root itself — is SHA-256
+over a domain-tagged binary preimage; values enter it through the
+type-tagged, length-prefixed :func:`~repro.common.serialization.binary_encode`.
 
 Storage values have **value semantics**: reads return structural copies and
 writes store structural copies.  Contract code therefore cannot alias the
@@ -45,7 +49,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.common.serialization import _coerce_json_key, binary_encode, stable_hash
+from repro.common.serialization import _coerce_json_key, binary_encode
 from repro.blockchain.account import Account
 
 _MISSING = object()
@@ -65,26 +69,9 @@ _MISSING = object()
 # use a Merkle trie here.
 _ROOT_MODULUS = 1 << 256
 
-# Root-scheme versions.  Scheme 1 is the original stable_hash(dict) leaf
-# format (canonical JSON + SHA-256 per slot); scheme 2 hashes the same
-# logical content through the binary length-prefixed encoding, which skips
-# JSON string formatting on the hot path.  Persisted chains record their
-# scheme in the store manifest (missing key = 1), so old stores keep
-# replaying and old snapshots keep loading byte-for-byte; fresh chains
-# default to scheme 2.
-ROOT_SCHEME_JSON = 1
-ROOT_SCHEME_BINARY = 2
-DEFAULT_ROOT_SCHEME = ROOT_SCHEME_BINARY
-_ROOT_SCHEMES = (ROOT_SCHEME_JSON, ROOT_SCHEME_BINARY)
-
-
-def slot_digest_v1(key: str, value: Any) -> int:
-    """Scheme-1 slot leaf: SHA-256 over the canonical-JSON wrapper dict."""
-    return int(stable_hash({"key": key, "value": value}), 16)
-
 
 def slot_preimage_v2(key: str, value: Any) -> bytes:
-    """Scheme-2 slot leaf preimage: domain tag + binary key/value encodings.
+    """Scalar slot leaf preimage: domain tag + binary key/value encodings.
 
     Both encodings are self-delimiting, so the concatenation is injective:
     no two distinct (key, value) pairs share a preimage (pinned by a
@@ -98,7 +85,7 @@ _LIST_SLOT_TAG = b"listslot\x00"
 
 
 def entry_digest_v2(entry_key: Any, value: Any) -> int:
-    """Scheme-2 leaf for one entry of a dict-valued slot.
+    """Leaf for one entry of a dict-valued slot.
 
     The entry key is coerced the way a JSON object key would be
     (``_coerce_json_key``), so a slot that serializes identically through a
@@ -111,7 +98,7 @@ def entry_digest_v2(entry_key: Any, value: Any) -> int:
 
 
 def item_digest_v2(index: int, value: Any) -> int:
-    """Scheme-2 leaf for one element of a list-valued slot.
+    """Leaf for one element of a list-valued slot.
 
     The element's position is part of the preimage, so the commutative sum
     over item digests still commits to the order of the list.
@@ -121,14 +108,14 @@ def item_digest_v2(index: int, value: Any) -> int:
 
 
 def collection_digest_v2(key: str, count: int, acc: int, tag: bytes) -> int:
-    """Scheme-2 slot digest for a collection: domain tag, key, size, leaf sum."""
+    """Slot digest for a collection: domain tag, key, size, leaf sum."""
     preimage = (tag + binary_encode(key) + count.to_bytes(8, "big")
                 + (acc % _ROOT_MODULUS).to_bytes(32, "big"))
     return int.from_bytes(hashlib.sha256(preimage).digest(), "big")
 
 
 def slot_digest_v2(key: str, value: Any) -> int:
-    """Scheme-2 slot leaf: SHA-256 over the binary preimage.
+    """Slot leaf: SHA-256 over the binary preimage.
 
     Dict- and list-valued slots hash as a size-tagged commutative sum of
     per-entry leaves rather than one monolithic encoding.  The digest is
@@ -148,12 +135,6 @@ def slot_digest_v2(key: str, value: Any) -> int:
     return int.from_bytes(hashlib.sha256(slot_preimage_v2(key, value)).digest(), "big")
 
 
-_SLOT_DIGESTS = {
-    ROOT_SCHEME_JSON: slot_digest_v1,
-    ROOT_SCHEME_BINARY: slot_digest_v2,
-}
-
-
 def copy_jsonlike(value: Any) -> Any:
     """Structural copy of a JSON-like value (dicts, lists, tuples, scalars)."""
     if isinstance(value, dict):
@@ -168,12 +149,7 @@ def copy_jsonlike(value: Any) -> Any:
 class WorldState:
     """Accounts, balances, nonces, and contract storage."""
 
-    def __init__(self, root_scheme: int = DEFAULT_ROOT_SCHEME):
-        if root_scheme not in _ROOT_SCHEMES:
-            raise ValidationError(f"unknown state-root scheme {root_scheme!r}")
-        self.root_scheme = root_scheme
-        # Bound per instance so the per-slot hot path is branch-free.
-        self._slot_digest = _SLOT_DIGESTS[root_scheme]
+    def __init__(self):
         # Wall-clock seconds spent recomputing roots (cache hits cost nothing
         # and are not counted).  Benchmarks read this as `root_hash_time`.
         self.root_hash_seconds: float = 0.0
@@ -196,9 +172,9 @@ class WorldState:
         self._dirty_slots: Dict[str, Dict[str, Optional[Set]]] = {}
         # address -> slot key -> integer digest of (key, value).
         self._slot_digests: Dict[str, Dict[str, int]] = {}
-        # Scheme-2 only: address -> slot key -> [leaf sum, {entry id ->
-        # leaf digest}] for dict-/list-valued slots, so an entry write
-        # re-hashes one leaf instead of the whole collection.
+        # address -> slot key -> [leaf sum, {entry id -> leaf digest}] for
+        # dict-/list-valued slots, so an entry write re-hashes one leaf
+        # instead of the whole collection.
         self._entry_digests: Dict[str, Dict[str, list]] = {}
         # address -> sum of its slot digests, mod _ROOT_MODULUS.
         self._storage_acc: Dict[str, int] = {}
@@ -593,7 +569,7 @@ class WorldState:
         per-transaction execution path uses the O(touched-slots) journal
         (:meth:`begin` / :meth:`commit` / :meth:`rollback`) instead.
         """
-        clone = WorldState(root_scheme=self.root_scheme)
+        clone = WorldState()
         clone._accounts = {addr: Account.from_dict(acc.to_dict()) for addr, acc in self._accounts.items()}
         clone._storage = copy.deepcopy(self._storage)
         clone._dirty = set(clone._accounts)
@@ -615,8 +591,6 @@ class WorldState:
         """
         self._accounts = snapshot._accounts
         self._storage = snapshot._storage
-        self.root_scheme = snapshot.root_scheme
-        self._slot_digest = _SLOT_DIGESTS[snapshot.root_scheme]
         self._journal.clear()
         self._frames.clear()
         if snapshot._root_value is not None and not snapshot._dirty:
@@ -640,19 +614,17 @@ class WorldState:
 
     def _hash_slot(self, address: str, key: str, value: Any,
                    dirty_ids: Optional[Set]) -> int:
-        """Digest one slot, maintaining the scheme-2 per-entry leaf cache.
+        """Digest one slot, maintaining the per-entry leaf cache.
 
         *dirty_ids* of ``None`` means the whole slot must be re-hashed (and
         the entry cache rebuilt); a set re-hashes only those entry keys /
-        list indices against the cached leaves.  Scheme 1 and scalar values
-        always hash whole — their digest is a single leaf.
+        list indices against the cached leaves.  Scalar values always hash
+        whole — their digest is a single leaf.
         """
-        if self.root_scheme < ROOT_SCHEME_BINARY:
-            return self._slot_digest(key, value)
         is_mapping = isinstance(value, dict)
         if not is_mapping and not isinstance(value, (list, tuple)):
             self._entry_digests.get(address, {}).pop(key, None)
-            return self._slot_digest(key, value)
+            return slot_digest_v2(key, value)
         tag = _MAP_SLOT_TAG if is_mapping else _LIST_SLOT_TAG
         cache = self._entry_digests.setdefault(address, {})
         record = cache.get(key)
@@ -717,24 +689,13 @@ class WorldState:
         """Digest committing to one account's record and storage."""
         account = self._accounts[address]
         storage_acc = self._refresh_storage_accumulator(address)
-        if self.root_scheme >= ROOT_SCHEME_BINARY:
-            preimage = (
-                b"acct\x00"
-                + binary_encode(address)
-                + binary_encode(account.to_dict())
-                + storage_acc.to_bytes(32, "big")
-            )
-            return int.from_bytes(hashlib.sha256(preimage).digest(), "big")
-        return int(
-            stable_hash(
-                {
-                    "address": address,
-                    "account": account.to_dict(),
-                    "storage": format(storage_acc, "064x"),
-                }
-            ),
-            16,
+        preimage = (
+            b"acct\x00"
+            + binary_encode(address)
+            + binary_encode(account.to_dict())
+            + storage_acc.to_bytes(32, "big")
         )
+        return int.from_bytes(hashlib.sha256(preimage).digest(), "big")
 
     def _drop_account_digest(self, address: str) -> None:
         previous = self._digests.pop(address, None)
@@ -765,20 +726,12 @@ class WorldState:
                 else:
                     self._drop_account_digest(address)
             self._dirty.clear()
-            if self.root_scheme >= ROOT_SCHEME_BINARY:
-                preimage = (
-                    b"ROOTv2"
-                    + len(self._accounts).to_bytes(8, "big")
-                    + self._root_acc.to_bytes(32, "big")
-                )
-                self._root_value = hashlib.sha256(preimage).hexdigest()
-            else:
-                self._root_value = stable_hash(
-                    {
-                        "accounts": len(self._accounts),
-                        "digest": format(self._root_acc, "064x"),
-                    }
-                )
+            preimage = (
+                b"ROOTv2"
+                + len(self._accounts).to_bytes(8, "big")
+                + self._root_acc.to_bytes(32, "big")
+            )
+            self._root_value = hashlib.sha256(preimage).hexdigest()
             self.root_hash_seconds += time.perf_counter() - started
         return self._root_value
 
@@ -789,66 +742,18 @@ class WorldState:
         }
 
     @classmethod
-    def from_dict(cls, data: dict,
-                  root_scheme: int = DEFAULT_ROOT_SCHEME) -> "WorldState":
+    def from_dict(cls, data: dict) -> "WorldState":
         """Rebuild a state from a :meth:`to_dict` dump (snapshot loading).
 
         The returned state has no open journal frames and every digest
         cache cold, so the first :meth:`state_root` call hashes the whole
         world — which is exactly what a snapshot loader wants: the rebuilt
         root can be compared against the snapshot's claimed root before the
-        state is trusted.  Pass the scheme recorded next to the dump so the
-        comparison uses the same leaf format the dump was rooted with.
+        state is trusted.
         """
-        state = cls(root_scheme=root_scheme)
+        state = cls()
         for address, record in data.get("accounts", {}).items():
             state._accounts[address] = Account.from_dict(record)
         state._storage = copy.deepcopy(data.get("storage", {}))
         state._dirty = set(state._accounts)
         return state
-
-    # -- persisted digest sidecar ------------------------------------------------
-
-    def digests_payload(self) -> dict:
-        """Warm per-account slot digests, JSON-ready, for snapshot persistence.
-
-        Call after :meth:`state_root` so the caches are complete.  A loader
-        that restores the snapshot cross-checks these against the digests it
-        recomputed during verification (:meth:`digests_match`); a mismatch
-        means the sidecar does not describe the snapshotted state and the
-        snapshot must not be trusted.
-        """
-        return {
-            "rootScheme": self.root_scheme,
-            "slotDigests": {
-                address: {key: format(digest, "064x") for key, digest in slots.items()}
-                for address, slots in self._slot_digests.items()
-            },
-        }
-
-    def digests_match(self, payload: Optional[dict]) -> bool:
-        """True when *payload* (a :meth:`digests_payload` dump) matches this state.
-
-        Requires warm caches — call :meth:`state_root` first.  Accepts only
-        payloads whose scheme and per-slot digests agree exactly with the
-        recomputed ones (accounts without storage may be absent from either
-        side's map as empty entries).
-        """
-        if not isinstance(payload, dict):
-            return False
-        if int(payload.get("rootScheme", ROOT_SCHEME_JSON)) != self.root_scheme:
-            return False
-        recorded = payload.get("slotDigests")
-        if not isinstance(recorded, dict):
-            return False
-        mine = {addr: slots for addr, slots in self._slot_digests.items() if slots}
-        theirs = {}
-        for address, slots in recorded.items():
-            if not isinstance(slots, dict):
-                return False
-            if slots:
-                try:
-                    theirs[address] = {key: int(digest, 16) for key, digest in slots.items()}
-                except (TypeError, ValueError):
-                    return False
-        return mine == theirs

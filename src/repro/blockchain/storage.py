@@ -26,12 +26,12 @@ A :class:`ChainStore` owns one persist directory per node:
 
 ``manifest.json``
     Chain metadata (genesis balances and timestamp, validator set, block
-    interval, reorg window, snapshot cadence, epoch length, root scheme),
-    written once by :meth:`create` with the classic crash-safe protocol:
-    write to a temporary file, ``fsync``, then atomically ``os.replace``
-    it into place, so a crash leaves either no manifest or a whole one.
-    Both logs are created before it, so a store with a manifest always has
-    both logs.
+    interval, reorg window, snapshot cadence, epoch length, signature
+    policy), written once by :meth:`create` with the classic crash-safe
+    protocol: write to a temporary file, ``fsync``, then atomically
+    ``os.replace`` it into place, so a crash leaves either no manifest or a
+    whole one.  Both logs are created before it, so a store with a manifest
+    always has both logs.
 
 ``registry.json``
     The durable contract registry, in the hardened shape of nucypher's
@@ -65,7 +65,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import IntegrityError, ValidationError
 from repro.common.serialization import canonical_json, from_canonical_json
-from repro.blockchain.state import DEFAULT_ROOT_SCHEME
 
 RECORD_MAGIC = b"RBLK"
 _LENGTH_BYTES = 8
@@ -329,14 +328,7 @@ class ChainStore:
 
     @property
     def epoch_length(self) -> int:
-        # Absent in stores written before dynamic validator sets: static mode.
-        return int(self.manifest.get("epochLength", 0))
-
-    @property
-    def root_scheme(self) -> int:
-        # Absent in stores written before binary state roots: the original
-        # canonical-JSON scheme, so old chains replay byte-for-byte.
-        return int(self.manifest.get("rootScheme", 1))
+        return int(self.manifest["epochLength"])
 
     @property
     def genesis_timestamp(self) -> float:
@@ -356,7 +348,6 @@ class ChainStore:
                require_signatures: bool = True,
                genesis_timestamp: float = 0.0,
                epoch_length: int = 0,
-               root_scheme: int = DEFAULT_ROOT_SCHEME,
                manifest_interval: int = MANIFEST_INTERVAL) -> "ChainStore":
         """Initialize a fresh persist directory (refuses to adopt an old one)."""
         os.makedirs(directory, exist_ok=True)
@@ -379,7 +370,6 @@ class ChainStore:
             # though the deployment clock has advanced past creation time.
             "genesisTimestamp": float(genesis_timestamp),
             "epochLength": int(epoch_length),
-            "rootScheme": int(root_scheme),
         }
         # Both logs exist before the manifest does, so open() on any store
         # with a manifest finds a coherent directory.
@@ -517,22 +507,13 @@ class ChainStore:
         return f"{prefix}-{height:010d}-{state_root[:16]}.json"
 
     def write_pending_snapshot(self, height: int, state_root: str,
-                               state_payload: Dict[str, Any],
-                               digests: Optional[Dict[str, Any]] = None) -> str:
-        """Record the world state at *height* as a pending (non-final) snapshot.
-
-        *digests* is the optional warm slot-digest sidecar
-        (:meth:`WorldState.digests_payload`): a loader cross-checks it
-        against the digests it recomputes while verifying the snapshot.
-        Snapshots written without one (pre-binary-root stores) stay
-        loadable — the cross-check is skipped.
-        """
+                               state_payload: Dict[str, Any]) -> str:
+        """Record the world state at *height* as a pending (non-final) snapshot."""
         name = self._snapshot_name(_PENDING_PREFIX, height, state_root)
         path = os.path.join(self.snapshot_dir, name)
-        payload = {"height": height, "stateRoot": state_root, "state": state_payload}
-        if digests is not None:
-            payload["digests"] = digests
-        atomic_write_json(path, payload)
+        atomic_write_json(
+            path, {"height": height, "stateRoot": state_root, "state": state_payload}
+        )
         return path
 
     def promote_snapshots_up_to(self, height: int) -> List[int]:

@@ -31,7 +31,7 @@ rounds, or violations the deployment has accumulated:
 ================================  ==============================================
 slot                              contents
 ================================  ==============================================
-``administrator``                 deployer / migration authority
+``administrator``                 deployer (read by no method)
 ``pod:{pod_url}``                 one pod record
 ``pod_index``                     mapping ``pod_url -> True`` (updated per entry)
 ``resource:{resource_id}``        one resource record
@@ -52,10 +52,6 @@ The batch entry point :meth:`record_usage_evidence_batch` (and
 evidence in a single transaction; combined with
 ``BlockchainInteractionModule.batch()`` a round seals a small constant
 number of blocks instead of O(holders).
-
-Deployments created before this layout (monolithic ``pods`` / ``grants`` /
-``monitoring_rounds`` / ``evidence`` / ``violations`` slots) can be
-converted in place with the one-shot :meth:`migrate_storage`.
 """
 
 from __future__ import annotations
@@ -71,6 +67,7 @@ class DistExchangeApp(SmartContract):
     # -- deployment -----------------------------------------------------------
 
     def constructor(self, administrator: Optional[str] = None, **_: Any) -> None:
+        # Read by no method, but every pinned state root commits to it.
         self.storage["administrator"] = administrator or self.msg_sender
         self.storage["pod_index"] = {}
         self.storage["resource_index"] = {}
@@ -381,83 +378,3 @@ class DistExchangeApp(SmartContract):
         if resource_id is None:
             return self.storage.get("violations", [])
         return self.storage.get(f"violations:{resource_id}", [])
-
-    # -- legacy-layout migration ---------------------------------------------------------------
-
-    def migrate_storage(self) -> Dict[str, int]:
-        """One-shot conversion of the pre-composite (monolithic-slot) layout.
-
-        Splits the legacy ``pods`` / ``resources`` / ``policies`` /
-        ``grants`` / ``monitoring_rounds`` / ``evidence`` slots into the
-        per-entity slots documented in the module docstring and builds the
-        per-resource violations index.  Only the administrator may run it;
-        it is idempotent (a second call finds nothing left to migrate).
-        """
-        self.require(
-            self.msg_sender == self.storage.get("administrator"),
-            "only the administrator may migrate storage",
-        )
-        migrated = {"pods": 0, "resources": 0, "grants": 0, "rounds": 0,
-                    "evidence": 0, "violations": 0}
-        # The migration loops are intentionally O(legacy collection): this is
-        # a one-shot, administrator-only conversion of a bounded legacy
-        # layout, not a recurring entrypoint.
-        pods = self.storage.get("pods")
-        if pods is not None:
-            for pod_url, record in sorted(pods.items()):  # chainlint: disable=GAS001
-                self.storage[f"pod:{pod_url}"] = record
-                self.storage.set_entry("pod_index", pod_url, True)
-                migrated["pods"] += 1
-            del self.storage["pods"]
-        resources = self.storage.get("resources")
-        if resources is not None:
-            for resource_id, record in sorted(resources.items()):  # chainlint: disable=GAS001
-                self.storage[f"resource:{resource_id}"] = record
-                self.storage.set_entry("resource_index", resource_id, True)
-                migrated["resources"] += 1
-            del self.storage["resources"]
-        policies = self.storage.get("policies")
-        if policies is not None:
-            for resource_id, policy in sorted(policies.items()):  # chainlint: disable=GAS001
-                self.storage[f"policy:{resource_id}"] = policy
-            del self.storage["policies"]
-        grants = self.storage.get("grants")
-        if grants is not None:
-            for resource_id, entries in sorted(grants.items()):  # chainlint: disable=GAS001
-                self.storage[f"grants:{resource_id}"] = entries
-                migrated["grants"] += len(entries)
-            del self.storage["grants"]
-        rounds = self.storage.get("monitoring_rounds")
-        if rounds is not None:
-            for round_key, record in sorted(rounds.items()):  # chainlint: disable=GAS001
-                responses = record.get("responses", {})
-                holders = record.get("holders", [])
-                self.storage[f"round:{round_key}"] = {
-                    "resource_id": record["resource_id"],
-                    "requested_by": record["requested_by"],
-                    "requested_at": record["requested_at"],
-                    "holder_count": len(holders),
-                    "response_count": sum(1 for holder in holders if holder in responses),
-                    "closed": record["closed"],
-                }
-                self.storage[f"round:{round_key}:holders"] = {h: True for h in holders}
-                self.storage[f"round:{round_key}:responses"] = responses
-                migrated["rounds"] += 1
-            del self.storage["monitoring_rounds"]
-        evidence = self.storage.get("evidence")
-        if evidence is not None:
-            for resource_id, entries in sorted(evidence.items()):  # chainlint: disable=GAS001
-                self.storage[f"evidence:{resource_id}"] = entries
-                migrated["evidence"] += len(entries)
-            del self.storage["evidence"]
-        violations = self.storage.get("violations", [])
-        # The global list keeps its slot; (re)build the per-resource index.
-        by_resource: Dict[str, List[Dict[str, Any]]] = {}
-        for violation in violations:
-            by_resource.setdefault(violation["resource_id"], []).append(violation)
-        for resource_id, entries in sorted(by_resource.items()):
-            if self.storage.get(f"violations:{resource_id}") != entries:
-                self.storage[f"violations:{resource_id}"] = entries
-                migrated["violations"] += len(entries)
-        self.emit("StorageMigrated", **migrated)
-        return migrated

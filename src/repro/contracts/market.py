@@ -231,39 +231,3 @@ class DataMarket(SmartContract):
             "operator_earnings": self.storage.get("operator_earnings", 0),
             "total_owner_earnings": self.storage.get("outstanding_owner_earnings", 0),
         }
-
-    # -- legacy-layout migration ---------------------------------------------------------
-
-    def migrate_storage(self) -> Dict[str, int]:
-        """One-shot conversion of the pre-composite (monolithic ``certificates``) layout.
-
-        Splits every certificate into its ``certificate:{id}`` slot and
-        seeds the running aggregates behind :meth:`market_statistics` from
-        the legacy mappings (which keep their slot names — the per-entry
-        operations work on them unchanged).  Operator-only; idempotent.
-        """
-        self.require(
-            self.msg_sender == self.storage.get("operator"),
-            "only the operator may migrate storage",
-        )
-        migrated = {"certificates": 0}
-        certificates = self.storage.get("certificates")
-        if certificates is not None:
-            # One-shot, operator-only conversion of the bounded legacy
-            # layout — intentionally O(legacy certificates).
-            for certificate_id, certificate in sorted(certificates.items()):  # chainlint: disable=GAS001
-                self.storage[f"certificate:{certificate_id}"] = certificate
-                self.storage.set_entry("certificate_index", certificate_id, True)
-                migrated["certificates"] += 1
-            del self.storage["certificates"]
-            # Seed the running aggregates (kept up to date incrementally
-            # from here on; the legacy certificate-id nonce was
-            # len(certificates), which certificate_count continues).
-            self.storage["subscriber_count"] = len(self.storage.get("subscribers", {}))
-            self.storage["certificate_count"] = migrated["certificates"]
-            self.storage["listed_count"] = len(self.storage.get("resource_owners", {}))
-            self.storage["outstanding_owner_earnings"] = sum(
-                self.storage.get("earnings", {}).values()
-            )
-        self.emit("StorageMigrated", **migrated)
-        return migrated

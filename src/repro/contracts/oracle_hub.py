@@ -26,6 +26,7 @@ class OracleRequestHub(SmartContract):
     """Request/response queue connecting on-chain consumers to off-chain providers."""
 
     def constructor(self, **_: Any) -> None:
+        # Read by no method, but every pinned state root commits to it.
         self.storage["administrator"] = self.msg_sender
         self.storage["next_request_id"] = 1
         self.storage["pending_index"] = {}
@@ -122,34 +123,3 @@ class OracleRequestHub(SmartContract):
             if kind is None or request_kind == kind
         ]
         return sorted(pending)
-
-    # -- legacy-layout migration ---------------------------------------------------------
-
-    def migrate_storage(self) -> Dict[str, int]:
-        """One-shot conversion of the pre-composite (monolithic ``requests``) layout.
-
-        Administrator-only; hubs deployed before this layout never recorded
-        a deployer, so a contract without an ``administrator`` slot accepts
-        the migration from any caller (the conversion is content-preserving
-        and idempotent) and records the migrating sender as administrator.
-        """
-        administrator = self.storage.get("administrator")
-        self.require(
-            administrator is None or self.msg_sender == administrator,
-            "only the administrator may migrate storage",
-        )
-        if administrator is None:
-            self.storage["administrator"] = self.msg_sender
-        migrated = {"requests": 0}
-        requests = self.storage.get("requests")
-        if requests is not None:
-            # One-shot, administrator-only conversion of the bounded legacy
-            # layout — intentionally O(legacy requests).
-            for request_id, record in sorted(requests.items()):  # chainlint: disable=GAS001
-                self.storage[f"request:{request_id}"] = record
-                if not record.get("fulfilled"):
-                    self.storage.set_entry("pending_index", str(request_id), record["kind"])
-                migrated["requests"] += 1
-            del self.storage["requests"]
-        self.emit("StorageMigrated", **migrated)
-        return migrated

@@ -312,6 +312,9 @@ class _ShadowModel:
         }
         self.subscribed: Set[str] = set()
         self.copies: Dict[Tuple[str, str], _CopyState] = {}
+        # consumer -> resource key -> that consumer's copy (the same objects
+        # as in ``copies``), so a device's enforcement pass reads its own copies.
+        self.copies_of: Dict[str, Dict[str, _CopyState]] = {}
         self.active_grants: Set[Tuple[str, str]] = set()
         # -- violation-response cascade state -------------------------------
         # (consumer, resource key) pairs holding a READ entry in the pod ACL.
@@ -332,12 +335,14 @@ class _ShadowModel:
     def on_access(self, consumer: str, resource: str, now: float,
                   granted: bool = True) -> None:
         retention, purposes, max_accesses = self.current_policy[resource]
-        self.copies[(consumer, resource)] = _CopyState(
+        copy = _CopyState(
             stored_at=now,
             retention=retention,
             purposes=purposes,
             max_accesses=max_accesses,
         )
+        self.copies[(consumer, resource)] = copy
+        self.copies_of.setdefault(consumer, {})[resource] = copy
         self.active_grants.add((consumer, resource))
         if granted:
             # The full access process grants the pod ACL entry; a bare
@@ -386,9 +391,8 @@ class _ShadowModel:
         self._enforce_copy(copy, now)
 
     def enforce(self, consumer: str, now: float) -> None:
-        for (name, _), copy in self.copies.items():
-            if name == consumer:
-                self._enforce_copy(copy, now)
+        for copy in self.copies_of.get(consumer, {}).values():
+            self._enforce_copy(copy, now)
 
     @staticmethod
     def _enforce_copy(copy: _CopyState, now: float) -> None:

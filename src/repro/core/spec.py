@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
@@ -585,11 +586,18 @@ class ScenarioSpec:
     def consumers(self) -> List[ParticipantSpec]:
         return [p for p in self.participants if p.role == "consumer"]
 
-    def participant(self, name: str) -> ParticipantSpec:
+    @cached_property
+    def _participants_by_name(self) -> Dict[str, ParticipantSpec]:
+        by_name: Dict[str, ParticipantSpec] = {}
         for p in self.participants:
-            if p.name == name:
-                return p
-        raise ValidationError(f"scenario {self.name}: unknown participant {name!r}")
+            by_name.setdefault(p.name, p)
+        return by_name
+
+    def participant(self, name: str) -> ParticipantSpec:
+        p = self._participants_by_name.get(name)
+        if p is None:
+            raise ValidationError(f"scenario {self.name}: unknown participant {name!r}")
+        return p
 
     def resource(self, key: str) -> ResourceSpec:
         for r in self.resources:

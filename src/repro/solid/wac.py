@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import ValidationError
 from repro.rdf.graph import Graph
@@ -86,13 +87,31 @@ class Authorization:
 
 
 class AclDocument:
-    """The set of authorizations governing a pod (or part of it)."""
+    """The set of authorizations governing a pod (or part of it).
+
+    Authorizations are indexed by the agents they name, so a check reads
+    only the requester's own authorizations and the class-wide ones instead
+    of every grant in the pod.  Change them through :meth:`add` and
+    :meth:`revoke_agent`, which keep the index current.
+    """
 
     def __init__(self, authorizations: Optional[Iterable[Authorization]] = None):
-        self.authorizations: List[Authorization] = list(authorizations or [])
+        self._authorizations: List[Authorization] = []
+        self._by_agent: Dict[str, List[Authorization]] = {}
+        self._class_wide: List[Authorization] = []
+        for authorization in authorizations or []:
+            self.add(authorization)
+
+    @property
+    def authorizations(self) -> Tuple[Authorization, ...]:
+        return tuple(self._authorizations)
 
     def add(self, authorization: Authorization) -> Authorization:
-        self.authorizations.append(authorization)
+        self._authorizations.append(authorization)
+        if authorization.agent_classes:
+            self._class_wide.append(authorization)
+        for webid in authorization.agents:
+            self._by_agent.setdefault(webid, []).append(authorization)
         return authorization
 
     def grant(self, webid: str, modes: Iterable[AccessMode], resource_path: Optional[str] = None,
@@ -122,20 +141,26 @@ class AclDocument:
     def revoke_agent(self, webid: str) -> int:
         """Remove *webid* from every authorization; returns how many changed."""
         changed = 0
-        for authorization in self.authorizations:
+        for authorization in self._authorizations:
             if webid in authorization.agents:
                 authorization.agents.discard(webid)
                 changed += 1
         # Drop authorizations that no longer cover anyone.
-        self.authorizations = [
-            auth for auth in self.authorizations if auth.agents or auth.agent_classes
-        ]
+        remaining = [auth for auth in self._authorizations if auth.agents or auth.agent_classes]
+        self._authorizations = []
+        self._by_agent = {}
+        self._class_wide = []
+        for authorization in remaining:
+            self.add(authorization)
         return changed
 
     def allows(self, webid: Optional[str], mode: AccessMode, resource_path: str,
                container_path: str) -> bool:
         """Evaluate whether *webid* may perform *mode* on *resource_path*."""
-        for authorization in self.authorizations:
+        candidates = self._class_wide
+        if webid is not None:
+            candidates = chain(candidates, self._by_agent.get(webid, ()))
+        for authorization in candidates:
             if not authorization.grants(mode):
                 continue
             if not authorization.covers_agent(webid):
@@ -149,7 +174,7 @@ class AclDocument:
     def to_graph(self, base_url: str = "https://pod.example.org") -> Graph:
         """Serialize the ACL document to RDF using the WAC vocabulary."""
         graph = Graph()
-        for index, authorization in enumerate(self.authorizations):
+        for index, authorization in enumerate(self._authorizations):
             node = BlankNode(f"auth{index}")
             graph.add(node, RDF.type, ACL.Authorization)
             for mode in sorted(authorization.modes, key=lambda m: m.value):

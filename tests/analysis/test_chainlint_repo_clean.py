@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Analyzer, analyze_source, load_baseline
+from repro.analysis.engine import find_suppressions
 
 REPO = Path(__file__).resolve().parents[2]
 CONTRACT_PATHS = [
@@ -37,6 +38,17 @@ def test_contract_layer_is_chainlint_clean():
     findings = analyzer.analyze_paths(CONTRACT_PATHS, offchain=OFFCHAIN_PATHS)
     fresh, _ = Analyzer.apply_baseline(findings, load_baseline(BASELINE))
     assert fresh == [], "new chainlint findings:\n" + "\n".join(f.format() for f in fresh)
+
+
+def test_contract_layer_carries_no_inline_suppressions():
+    """Contracts are clean without exceptions: a finding there is fixed, not
+    silenced on its line."""
+    suppressed = {
+        f"{path.relative_to(REPO)}:{line}"
+        for path in (REPO / "src/repro/contracts").rglob("*.py")
+        for line in find_suppressions(path.read_text())
+    }
+    assert suppressed == set()
 
 
 def test_baseline_entries_all_carry_justifications():

@@ -1,4 +1,4 @@
-"""Property-based coverage of the per-entry journal and storage migration.
+"""Property-based coverage of the per-entry journal.
 
 The ``entry`` and ``pop`` journal kinds (written by ``storage_write_entry``
 / ``storage_delete_entry`` / ``storage_append``) must compose with the
@@ -6,22 +6,11 @@ The ``entry`` and ``pop`` journal kinds (written by ``storage_write_entry``
 frames: a rollback restores storage byte-for-byte to the frame boundary,
 a commit folds changes into the enclosing frame.  Hypothesis drives random
 operation sequences against a plain-dict mirror.
-
-``DistExchangeApp.migrate_storage()`` must be idempotent: converting a
-randomly populated legacy (monolithic-slot) layout once migrates every
-entry, and a second call finds nothing left and changes no storage.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.blockchain.consensus import ProofOfAuthority
-from repro.blockchain.crypto import KeyPair
-from repro.blockchain.node import BlockchainNode
 from repro.blockchain.state import WorldState
-from repro.blockchain.vm import ContractRegistry
-from repro.common.clock import SimulatedClock
-from repro.contracts.dist_exchange import DistExchangeApp
-from repro.oracles.base import BlockchainInteractionModule
 
 CONTRACT = "0x" + "c0" * 20
 
@@ -132,108 +121,3 @@ def test_rolled_back_entry_ops_leave_the_state_root_untouched(ops):
     apply(state, ops)
     state.rollback()
     assert state.state_root() == root_before
-
-
-# -- migrate_storage() idempotence ---------------------------------------------------
-
-
-legacy_layouts = st.builds(
-    dict,
-    pods=st.dictionaries(
-        st.sampled_from(["https://p1", "https://p2", "https://p3"]),
-        st.fixed_dictionaries({"owner": st.sampled_from(["https://id/a", "https://id/b"])}),
-        max_size=3,
-    ),
-    resources=st.dictionaries(
-        st.sampled_from(["res-1", "res-2", "res-3"]),
-        st.fixed_dictionaries({"location": st.text(max_size=6)}),
-        max_size=3,
-    ),
-    grants=st.dictionaries(
-        st.sampled_from(["res-1", "res-2"]),
-        st.lists(
-            st.fixed_dictionaries(
-                {"device_id": st.sampled_from(["dev-1", "dev-2"]), "active": st.booleans()}
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        max_size=2,
-    ),
-    violations=st.lists(
-        st.fixed_dictionaries(
-            {
-                "resource_id": st.sampled_from(["res-1", "res-2"]),
-                "device_id": st.sampled_from(["dev-1", "dev-2"]),
-                "details": st.text(max_size=6),
-                "reported_at": st.floats(0, 10, allow_nan=False),
-            }
-        ),
-        max_size=4,
-    ),
-    rounds=st.dictionaries(
-        st.sampled_from(["1", "2"]),
-        st.fixed_dictionaries(
-            {
-                "resource_id": st.sampled_from(["res-1", "res-2"]),
-                "requested_by": st.just("https://id/a"),
-                "requested_at": st.floats(0, 10, allow_nan=False),
-                "holders": st.lists(st.sampled_from(["dev-1", "dev-2"]), max_size=2,
-                                    unique=True),
-                "responses": st.dictionaries(
-                    st.sampled_from(["dev-1", "dev-2"]),
-                    st.fixed_dictionaries({"compliant": st.booleans()}),
-                    max_size=2,
-                ),
-                "closed": st.booleans(),
-            }
-        ),
-        max_size=2,
-    ),
-)
-
-
-def deployed_de_app():
-    """A fresh single-validator node with a deployed DE App."""
-    key = KeyPair.from_name("journal-prop-validator")
-    registry = ContractRegistry()
-    registry.register(DistExchangeApp)
-    node = BlockchainNode(
-        ProofOfAuthority(validators=[key.address], block_interval=5.0),
-        key,
-        registry=registry,
-        clock=SimulatedClock(start=1_700_000_000.0),
-        genesis_balances={key.address: 10**12},
-    )
-    module = BlockchainInteractionModule(node, key)
-    return node, module, module.deploy_contract("DistExchangeApp")
-
-
-@given(legacy_layouts)
-@settings(max_examples=15, deadline=None)
-def test_migrate_storage_is_idempotent_on_any_legacy_layout(layout):
-    node, module, de_app = deployed_de_app()
-    state = node.chain.state
-    state.storage_write(de_app, "pods", layout["pods"])
-    state.storage_write(de_app, "resources", layout["resources"])
-    state.storage_write(de_app, "grants", layout["grants"])
-    state.storage_write(de_app, "monitoring_rounds", layout["rounds"])
-    state.storage_write(de_app, "violations", layout["violations"])
-
-    first = module.call_contract(de_app, "migrate_storage", {}).return_value
-    assert first["pods"] == len(layout["pods"])
-    assert first["resources"] == len(layout["resources"])
-    assert first["grants"] == sum(len(g) for g in layout["grants"].values())
-    assert first["rounds"] == len(layout["rounds"])
-    assert first["violations"] == len(layout["violations"])
-    migrated_storage = state.storage_of(de_app)
-
-    # The legacy monolithic slots are gone...
-    for slot in ("pods", "resources", "grants", "monitoring_rounds"):
-        assert state.storage_read(de_app, slot) is None
-
-    # ...and a second migration is a no-op: zero counts, identical storage.
-    second = module.call_contract(de_app, "migrate_storage", {}).return_value
-    assert second == {"pods": 0, "resources": 0, "grants": 0, "rounds": 0,
-                      "evidence": 0, "violations": 0}
-    assert state.storage_of(de_app) == migrated_storage

@@ -1,14 +1,12 @@
-"""Versioned state roots: the binary scheme, digest caches, persistence.
+"""Binary state roots: preimages, digest caches, persistence.
 
-The world-state root moved from JSON-hashed slot leaves (scheme 1) to direct
-binary SHA-256 preimages (scheme 2).  These tests pin the properties the
-switch leans on:
+The world-state root hashes binary SHA-256 preimages of every slot, account
+and the world.  These tests pin the properties it leans on:
 
 * the binary slot preimage is injective — no two distinct ``(key, value)``
   pairs share a preimage (Hypothesis, unicode keys, nested values, empty
   strings);
-* both schemes stay order-insensitive and deterministic, and produce
-  different roots (so a mixed-scheme comparison can never accidentally pass);
+* the root is order-insensitive and deterministic;
 * a restored account with one dirty slot re-hashes exactly that slot — the
   warm-cache adoption path and the accumulator refresh between them never
   fall back to whole-account re-hashing;
@@ -16,13 +14,9 @@ switch leans on:
   entry write re-hashes one leaf (not the collection), every entry-op kind
   agrees with a cold recompute and rolls back exactly, list order still
   matters, and in-memory keys digest like their JSON-serialized forms;
-* the persisted slot-digest sidecar round-trips, and a tampered sidecar is
-  rejected at cold start without poisoning recovery;
-* stores created before root-scheme versioning (no ``rootScheme`` manifest
-  key) reopen under scheme 1 byte-for-byte.
+* a durable store's promoted snapshots hold the state and its root, and
+  nothing else, and a cold start from them lands on the same head.
 """
-
-import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,14 +25,8 @@ from repro.blockchain.consensus import ProofOfAuthority
 from repro.blockchain.crypto import KeyPair
 from repro.blockchain.node import BlockchainNode
 import repro.blockchain.state as state_mod
-from repro.blockchain.state import (
-    ROOT_SCHEME_BINARY,
-    ROOT_SCHEME_JSON,
-    WorldState,
-    slot_digest_v2,
-    slot_preimage_v2,
-)
-from repro.blockchain.storage import atomic_write_json, read_checked_json
+from repro.blockchain.state import WorldState, slot_digest_v2, slot_preimage_v2
+from repro.blockchain.storage import read_checked_json
 from repro.blockchain.transaction import Transaction
 
 # -- the injectivity property the accumulator leans on ------------------------
@@ -87,11 +75,11 @@ def test_key_value_boundary_cannot_be_shifted():
     assert len(preimages) == len(pairs)
 
 
-# -- scheme equivalence and divergence ----------------------------------------
+# -- determinism ----------------------------------------------------------------
 
 
-def populated(scheme, order=None):
-    state = WorldState(root_scheme=scheme)
+def populated(order=None):
+    state = WorldState()
     writes = order or range(6)
     for i in writes:
         address = f"0xacct{i % 3}"
@@ -101,18 +89,15 @@ def populated(scheme, order=None):
     return state
 
 
-def test_both_schemes_are_order_insensitive_but_mutually_distinct():
-    for scheme in (ROOT_SCHEME_JSON, ROOT_SCHEME_BINARY):
-        forward = populated(scheme).state_root()
-        shuffled = populated(scheme, order=[3, 0, 5, 1, 4, 2]).state_root()
-        assert forward == shuffled
-        assert len(forward) == 64 and int(forward, 16) >= 0
-    assert (populated(ROOT_SCHEME_JSON).state_root()
-            != populated(ROOT_SCHEME_BINARY).state_root())
+def test_root_is_order_insensitive():
+    forward = populated().state_root()
+    shuffled = populated(order=[3, 0, 5, 1, 4, 2]).state_root()
+    assert forward == shuffled
+    assert len(forward) == 64 and int(forward, 16) >= 0
 
 
 def test_incremental_root_matches_cold_recompute():
-    state = populated(ROOT_SCHEME_BINARY)
+    state = populated()
     state.state_root()
     state.storage_write("0xacct0", "slot-0", {"value": "rewritten"})
     state.storage_delete("0xacct1", "slot-4")
@@ -148,7 +133,7 @@ def test_restored_account_with_one_dirty_slot_rehashes_only_that_slot():
     """Satellite pin: after a loader-style restore, the first dirty write to
     an account re-hashes exactly the written slot — not the account's whole
     storage, and nothing at all for untouched accounts."""
-    state = populated(ROOT_SCHEME_BINARY)
+    state = populated()
     root = state.state_root()
     candidate = WorldState.from_dict(state.to_dict())
     assert candidate.state_root() == root  # the loader's verification pass
@@ -167,7 +152,7 @@ def test_restored_account_with_one_dirty_slot_rehashes_only_that_slot():
 def test_deep_copy_snapshots_stay_cold():
     """`snapshot()` deep-copies mutable storage, so restore() must not adopt
     its caches — the copy could be mutated behind the digests' back."""
-    state = populated(ROOT_SCHEME_BINARY)
+    state = populated()
     root = state.state_root()
     checkpoint = state.snapshot()
     state.storage_write("0xacct0", "slot-0", {"value": "diverged"})
@@ -177,7 +162,7 @@ def test_deep_copy_snapshots_stay_cold():
 
 
 def test_root_hash_seconds_accrues_only_on_recompute():
-    state = populated(ROOT_SCHEME_BINARY)
+    state = populated()
     state.state_root()
     spent = state.root_hash_seconds
     assert spent > 0.0
@@ -188,11 +173,11 @@ def test_root_hash_seconds_accrues_only_on_recompute():
     assert state.root_hash_seconds > spent
 
 
-# -- entry-granular collection digests (scheme 2) -----------------------------
+# -- entry-granular collection digests ----------------------------------------
 
 
 def indexed_state(entries=40):
-    state = WorldState(root_scheme=ROOT_SCHEME_BINARY)
+    state = WorldState()
     state.create_account("0xidx", balance=1, contract_class="Box")
     for i in range(entries):
         state.storage_write_entry("0xidx", "subscribers", f"user-{i}", {"paid": i})
@@ -270,36 +255,11 @@ def test_collection_digests_survive_a_json_round_trip():
     assert state.state_root() == stringified.state_root()
 
 
-# -- the persisted digest sidecar ---------------------------------------------
+# -- persistence ------------------------------------------------------------------
 
 
-def test_digest_sidecar_round_trips_and_rejects_tampering():
-    state = populated(ROOT_SCHEME_BINARY)
-    root = state.state_root()
-    payload = state.digests_payload()
-    rebuilt = WorldState.from_dict(state.to_dict())
-    assert rebuilt.state_root() == root
-    assert rebuilt.digests_match(payload)
-    # Any single flipped digest, a scheme mismatch, or malformed shapes fail.
-    tampered = {
-        "rootScheme": payload["rootScheme"],
-        "slotDigests": {
-            address: dict(slots)
-            for address, slots in payload["slotDigests"].items()
-        },
-    }
-    tampered["slotDigests"]["0xacct0"]["slot-0"] = "ff" * 32
-    assert not rebuilt.digests_match(tampered)
-    assert not rebuilt.digests_match({**payload, "rootScheme": ROOT_SCHEME_JSON})
-    assert not rebuilt.digests_match(None)
-    assert not rebuilt.digests_match({"slotDigests": "garbage"})
-
-
-# -- persistence: scheme in the manifest, legacy stores, sidecar at cold start
-
-
-def durable_node(directory, root_scheme=None):
-    key = KeyPair.from_name("root-scheme-validator")
+def durable_node(directory):
+    key = KeyPair.from_name("state-root-validator")
     consensus = ProofOfAuthority(validators=[key.address], block_interval=5.0)
     node = BlockchainNode(
         consensus,
@@ -309,7 +269,6 @@ def durable_node(directory, root_scheme=None):
         persist_dir=str(directory),
         max_reorg_depth=4,
         snapshot_interval=4,
-        root_scheme=root_scheme,
     )
     return node, key
 
@@ -324,64 +283,19 @@ def mine_transfers(node, key, count):
         node.produce_block()
 
 
-def test_fresh_stores_record_the_binary_scheme_and_reopen_with_it(tmp_path):
+def test_sidecar_free_snapshots_reopen_on_the_same_head(tmp_path):
     node, key = durable_node(tmp_path)
-    assert node.chain.root_scheme == ROOT_SCHEME_BINARY
     mine_transfers(node, key, 10)
     head_hash = node.chain.head.hash
     node.close()
-    manifest = read_checked_json(str(tmp_path / "manifest.json"))
-    assert manifest["rootScheme"] == ROOT_SCHEME_BINARY
+    snapshot_dir = tmp_path / "snapshots"
+    promoted = sorted(snapshot_dir.glob("snapshot-*.json"))
+    assert promoted
+    for path in promoted:
+        assert set(read_checked_json(str(path))) == {"height", "stateRoot", "state"}
 
     restored = BlockchainNode.open_from_disk(str(tmp_path), key)
-    assert restored.chain.root_scheme == ROOT_SCHEME_BINARY
     assert restored.chain.head.hash == head_hash
     assert restored.recovery.snapshot_height > 0
-    assert restored.chain.verify_chain(replay=True)
-
-
-def test_legacy_store_without_the_manifest_key_reopens_under_scheme_1(tmp_path):
-    """Stores written before root-scheme versioning carry no ``rootScheme``
-    key; they must keep replaying byte-for-byte under the JSON scheme."""
-    node, key = durable_node(tmp_path, root_scheme=ROOT_SCHEME_JSON)
-    mine_transfers(node, key, 10)
-    head_hash = node.chain.head.hash
-    node.close()
-    manifest_path = str(tmp_path / "manifest.json")
-    manifest = read_checked_json(manifest_path)
-    del manifest["rootScheme"]  # simulate the pre-versioning layout
-    atomic_write_json(manifest_path, manifest)
-
-    restored = BlockchainNode.open_from_disk(str(tmp_path), key)
-    assert restored.chain.root_scheme == ROOT_SCHEME_JSON
-    assert restored.chain.head.hash == head_hash
-    assert restored.chain.verify_chain(replay=True)
-
-
-def test_tampered_snapshot_sidecar_is_rejected_but_recovery_survives(tmp_path):
-    node, key = durable_node(tmp_path)
-    mine_transfers(node, key, 10)
-    head_hash = node.chain.head.hash
-    snapshot_dir = str(tmp_path / "snapshots")
-    node.close()
-    # Corrupt the digest sidecar of every promoted snapshot (checksums are
-    # rewritten, so only the digests_match cross-check can catch it).
-    tampered = 0
-    for name in os.listdir(snapshot_dir):
-        if not name.startswith("snapshot"):
-            continue
-        path = os.path.join(snapshot_dir, name)
-        payload = read_checked_json(path)
-        sidecar = payload.get("digests")
-        assert sidecar is not None  # fresh snapshots always carry one
-        sidecar["slotDigests"]["0xsink"] = {"forged-slot": "ee" * 32}
-        atomic_write_json(path, payload)
-        tampered += 1
-    assert tampered > 0
-
-    restored = BlockchainNode.open_from_disk(str(tmp_path), key)
-    assert any("sidecar" in reason
-               for reason in restored.recovery.snapshots_rejected)
-    # Recovery falls back to replay and still lands on the same head.
-    assert restored.chain.head.hash == head_hash
+    assert restored.recovery.snapshots_rejected == []
     assert restored.chain.verify_chain(replay=True)

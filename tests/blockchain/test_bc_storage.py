@@ -20,7 +20,6 @@ from repro.blockchain.consensus import ProofOfAuthority
 from repro.blockchain.crypto import KeyPair
 from repro.blockchain.network import BlockchainNetwork
 from repro.blockchain.node import BlockchainNode
-from repro.blockchain.state import ROOT_SCHEME_BINARY
 from repro.blockchain.storage import (
     ChainStore,
     encode_record,
@@ -191,15 +190,6 @@ def test_restart_produces_identical_genesis(tmp_path):
     assert restored.chain.blocks[0].header.hash == genesis_hash
     mine_transfers(restored, key, 1)
     assert restored.chain.verify_chain(replay=True)
-
-
-def test_store_created_with_defaults_records_the_binary_root_scheme(tmp_path):
-    store = ChainStore.create(str(tmp_path), {}, ["0xvalidator"], 5.0, 4)
-    store.close()
-    assert read_checked_json(str(tmp_path / "manifest.json"))["rootScheme"] == ROOT_SCHEME_BINARY
-    reopened, _ = ChainStore.open(str(tmp_path))
-    assert reopened.root_scheme == ROOT_SCHEME_BINARY
-    reopened.close()
 
 
 # -- commit acknowledgement ----------------------------------------------------

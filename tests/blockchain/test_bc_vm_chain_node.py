@@ -180,6 +180,18 @@ def test_event_filters_deliver_matching_logs():
     assert len(node.get_logs(address=address, event="Incremented")) == 2
 
 
+def test_removing_a_filter_leaves_an_identical_one_subscribed():
+    node = make_node()
+    address = deploy_counter(node)
+    first = node.add_filter(address=address, event="Incremented")
+    second = node.add_filter(address=address, event="Incremented")
+    assert first != second
+    node.remove_filter(second)
+    send(node, USER, address, {"method": "increment", "args": {"amount": 3}})
+    assert [log.data["amount"] for log in first.collected] == [3]
+    assert second.collected == [] and not second.active
+
+
 def test_next_nonce_accounts_for_pending_transactions():
     node = make_node()
     first = Transaction(sender=USER.address, to=VALIDATOR.address, data={}, value=1, nonce=node.next_nonce(USER.address))

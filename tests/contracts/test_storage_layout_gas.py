@@ -1,19 +1,14 @@
 """Regression pins for the per-entry contract storage layout.
 
-Two properties are pinned:
-
-* **Gas flatness** — ``record_access_grant`` and ``record_usage_evidence``
-  touch O(their own entries), so their gas cost must not grow with the
-  number of *unrelated* resources, grants, or monitoring rounds in the
-  DE App.
-* **Legacy migration** — a contract whose storage still uses the
-  pre-composite monolithic slots is converted in place by the one-shot
-  ``migrate_storage`` and serves identical reads afterwards.
+``record_access_grant`` and ``record_usage_evidence`` touch O(their own
+entries), so their gas cost must not grow with the number of *unrelated*
+resources, grants, or monitoring rounds in the DE App.  The remaining tests
+pin round bookkeeping on the same layout: zero-holder rounds, mid-batch
+closes and duplicate device grants.
 """
 
 import pytest
 
-from repro.common.errors import ContractError
 from repro.policy.serialization import policy_to_dict
 from repro.policy.templates import retention_policy
 
@@ -120,106 +115,6 @@ def test_start_monitoring_gas_does_not_grow_with_unrelated_state(operator_module
     assert abs(crowded - baseline) <= baseline * 0.005
 
 
-# -- legacy-layout migration ----------------------------------------------------------------
-
-
-def install_legacy_layout(node, de_app):
-    """Write the pre-composite monolithic slots directly into state."""
-    state = node.chain.state
-    state.storage_write(de_app, "pods", {
-        "https://pod.legacy": {
-            "owner": "https://id/old",
-            "registered_by": "0x" + "00" * 20,
-            "registered_at": 1.0,
-            "default_policy": {"version": 1},
-        }
-    })
-    state.storage_write(de_app, "resources", {
-        "res-1": {"pod_url": "https://pod.legacy", "location": "res-1",
-                  "owner": "https://id/old", "registered_at": 2.0, "metadata": {}},
-    })
-    state.storage_write(de_app, "policies", {"res-1": {"version": 3}})
-    state.storage_write(de_app, "grants", {
-        "res-1": [{"consumer": "https://id/bob", "device_id": "dev-1", "purpose": None,
-                   "granted_at": 3.0, "active": True}],
-    })
-    state.storage_write(de_app, "monitoring_rounds", {
-        "1": {"resource_id": "res-1", "requested_by": "https://id/old", "requested_at": 4.0,
-              "holders": ["dev-1"], "responses": {"dev-1": {"compliant": False}}, "closed": True},
-    })
-    state.storage_write(de_app, "evidence", {
-        "res-1": [{"round_id": 1, "device_id": "dev-1", "evidence": {"compliant": False}}],
-    })
-    state.storage_write(de_app, "violations", [
-        {"resource_id": "res-1", "device_id": "dev-1", "details": "stale copy", "reported_at": 5.0},
-    ])
-    state.storage_write(de_app, "next_round_id", 2)
-
-
-def test_migrate_storage_converts_legacy_layout(node, operator_module, de_app):
-    install_legacy_layout(node, de_app)
-    migrated = operator_module.call_contract(de_app, "migrate_storage", {}).return_value
-    assert migrated == {"pods": 1, "resources": 1, "grants": 1, "rounds": 1,
-                        "evidence": 1, "violations": 1}
-
-    assert operator_module.read(de_app, "list_pods") == ["https://pod.legacy"]
-    assert operator_module.read(de_app, "get_pod", {"pod_url": "https://pod.legacy"})["owner"] == "https://id/old"
-    assert operator_module.read(de_app, "list_resources") == ["res-1"]
-    record = operator_module.read(de_app, "get_resource", {"resource_id": "res-1"})
-    assert record["policy"] == {"version": 3}
-    grants = operator_module.read(de_app, "get_grants", {"resource_id": "res-1"})
-    assert grants[0]["device_id"] == "dev-1"
-    round_record = operator_module.read(de_app, "get_monitoring_round", {"round_id": 1})
-    assert round_record["holders"] == ["dev-1"] and round_record["closed"]
-    assert round_record["responses"] == {"dev-1": {"compliant": False}}
-    assert len(operator_module.read(de_app, "get_evidence", {"resource_id": "res-1"})) == 1
-    violations = operator_module.read(de_app, "get_violations", {"resource_id": "res-1"})
-    assert violations[0]["details"] == "stale copy"
-    assert operator_module.read(de_app, "get_violations") == violations
-
-    # The legacy monolithic slots are gone and new activity lands in the
-    # composite layout (round counter carried over).
-    assert node.chain.state.storage_read(de_app, "grants") is None
-    assert node.chain.state.storage_read(de_app, "monitoring_rounds") is None
-    round_id = operator_module.call_contract(
-        de_app, "start_monitoring", {"resource_id": "res-1", "requested_by": "https://id/old"}
-    ).return_value
-    assert round_id == 2
-
-    # A second migration finds nothing left to convert.
-    again = operator_module.call_contract(de_app, "migrate_storage", {}).return_value
-    assert again == {"pods": 0, "resources": 0, "grants": 0, "rounds": 0,
-                     "evidence": 0, "violations": 0}
-
-
-def test_migrate_storage_is_admin_only(node, operator_module, de_app):
-    from repro.blockchain.crypto import KeyPair
-    from repro.oracles.base import BlockchainInteractionModule
-
-    stranger = KeyPair.from_name("not-the-admin")
-    operator_module.send_transaction(stranger.address, {}, value=10_000_000)
-    module = BlockchainInteractionModule(node, stranger)
-    with pytest.raises(ContractError):
-        module.call_contract(de_app, "migrate_storage", {})
-
-
-def test_hub_migrate_storage_converts_legacy_requests(node, operator_module):
-    hub = operator_module.deploy_contract("OracleRequestHub")
-    node.chain.state.storage_write(hub, "requests", {
-        "1": {"kind": "usage_evidence", "payload": {}, "target": "dev-1",
-              "requested_by": "0x" + "00" * 20, "requested_at": 1.0,
-              "fulfilled": True, "response": {"ok": 1}, "fulfilled_by": "0x" + "01" * 20,
-              "fulfilled_at": 2.0},
-        "2": {"kind": "price_feed", "payload": {}, "target": None,
-              "requested_by": "0x" + "00" * 20, "requested_at": 3.0,
-              "fulfilled": False, "response": None, "fulfilled_by": None, "fulfilled_at": None},
-    })
-    migrated = operator_module.call_contract(hub, "migrate_storage", {}).return_value
-    assert migrated == {"requests": 2}
-    assert operator_module.read(hub, "pending_requests", {}) == [2]
-    assert operator_module.read(hub, "get_request", {"request_id": 1})["response"] == {"ok": 1}
-
-
 def test_zero_holder_round_closes_on_first_evidence(operator_module, de_app):
     ids = register_world(operator_module, de_app, 1)   # resource with no grants
     round_id = operator_module.call_contract(
@@ -261,34 +156,6 @@ def test_evidence_batch_rejects_items_after_mid_batch_close(operator_module, de_
     assert len(operator_module.read(de_app, "get_evidence", {"resource_id": ids[0]})) == 2
 
 
-def test_market_migrate_storage_converts_legacy_certificates(node, operator_module):
-    market = operator_module.deploy_contract(
-        "DataMarket", {"subscription_fee": 100, "access_fee": 10, "owner_share_percent": 80}
-    )
-    state = node.chain.state
-    state.storage_write(market, "certificates", {
-        "cert-1": {"certificate_id": "cert-1", "consumer": "0xbuyer", "resource_id": "res-1",
-                   "issued_at": 1.0, "fee_paid": 10, "revoked": False},
-    })
-    state.storage_write(market, "subscribers", {"0xbuyer": {"since": 1.0, "paid": 100, "active": True}})
-    state.storage_write(market, "resource_owners", {"res-1": "0xowner"})
-    state.storage_write(market, "earnings", {"0xowner": 8})
-
-    migrated = operator_module.call_contract(market, "migrate_storage", {}).return_value
-    assert migrated == {"certificates": 1}
-    assert operator_module.read(
-        market,
-        "verify_certificate",
-        {"certificate_id": "cert-1", "consumer": "0xbuyer", "resource_id": "res-1"},
-    )
-    stats = operator_module.read(market, "market_statistics")
-    assert stats["subscribers"] == 1 and stats["certificates"] == 1
-    assert stats["listed_resources"] == 1 and stats["total_owner_earnings"] == 8
-    assert node.chain.state.storage_read(market, "certificates") is None
-    # Idempotent: nothing left to convert.
-    assert operator_module.call_contract(market, "migrate_storage", {}).return_value == {"certificates": 0}
-
-
 def test_duplicate_device_grants_count_as_one_holder(operator_module, de_app):
     ids = register_world(operator_module, de_app, 1)
     grant_gas(operator_module, de_app, ids[0], "device-aa")
@@ -306,20 +173,3 @@ def test_duplicate_device_grants_count_as_one_holder(operator_module, de_app):
     round_record = operator_module.read(de_app, "get_monitoring_round", {"round_id": round_id})
     assert round_record["holders"] == ["device-aa"]
     assert round_record["closed"] is True                     # one answer closes the round
-
-
-def test_hub_migrate_storage_is_admin_gated_but_open_for_legacy_hubs(node, operator_module):
-    from repro.blockchain.crypto import KeyPair
-    from repro.oracles.base import BlockchainInteractionModule
-
-    hub = operator_module.deploy_contract("OracleRequestHub")
-    stranger = KeyPair.from_name("hub-stranger")
-    operator_module.send_transaction(stranger.address, {}, value=10_000_000)
-    stranger_module = BlockchainInteractionModule(node, stranger)
-    with pytest.raises(ContractError):
-        stranger_module.call_contract(hub, "migrate_storage", {})
-    # A pre-layout hub never recorded a deployer: the migration is open and
-    # records the migrating sender as administrator.
-    node.chain.state.storage_delete(hub, "administrator")
-    stranger_module.call_contract(hub, "migrate_storage", {})
-    assert node.chain.state.storage_read(hub, "administrator") == stranger.address

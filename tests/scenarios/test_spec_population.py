@@ -54,6 +54,14 @@ def test_participant_counts_are_honored():
     assert len(spec.resources) == 6
 
 
+def test_participants_are_found_by_name():
+    spec = build(num_consumers=137)
+    for participant in spec.participants:
+        assert spec.participant(participant.name) is participant
+    with pytest.raises(ValidationError, match="unknown participant"):
+        spec.participant("nobody")
+
+
 def test_behavior_mix_matches_requested_proportions_exactly():
     spec = build(num_consumers=200)
     counts = Counter(p.behavior for p in spec.consumers())

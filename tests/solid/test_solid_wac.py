@@ -83,3 +83,30 @@ def test_acl_rdf_round_trip():
     assert restored.allows(ALICE, AccessMode.CONTROL, "/data/x", "/data/")
     assert restored.allows(None, AccessMode.READ, "/public/doc.ttl", "/public/")
     assert not restored.allows(BOB, AccessMode.CONTROL, "/data/x", "/data/")
+
+
+def test_checks_read_only_the_requesters_and_class_wide_authorizations():
+    acl = AclDocument()
+    acl.grant(ALICE, [AccessMode.READ], resource_path="/data/a.txt")
+    acl.grant(BOB, [AccessMode.READ], resource_path="/data/b.txt")
+    acl.add(Authorization(modes={AccessMode.READ}, agents={BOB},
+                          agent_classes={AgentClass.AUTHENTICATED_AGENT},
+                          access_to={"/data/shared.txt"}))
+    assert acl.allows(ALICE, AccessMode.READ, "/data/a.txt", "/data/")
+    assert not acl.allows(ALICE, AccessMode.READ, "/data/b.txt", "/data/")
+    # The mixed authorization reaches every authenticated agent, not only Bob.
+    assert acl.allows(ALICE, AccessMode.READ, "/data/shared.txt", "/data/")
+    assert not acl.allows(None, AccessMode.READ, "/data/shared.txt", "/data/")
+    assert len(acl.authorizations) == 3
+
+
+def test_revoked_agent_can_be_granted_again():
+    acl = AclDocument()
+    acl.grant(BOB, [AccessMode.READ], resource_path="/data/b.txt")
+    acl.grant_public([AccessMode.READ], resource_path="/public/info.txt")
+    assert acl.revoke_agent(BOB) == 1
+    assert len(acl.authorizations) == 1
+    assert not acl.allows(BOB, AccessMode.READ, "/data/b.txt", "/data/")
+    assert acl.allows(BOB, AccessMode.READ, "/public/info.txt", "/public/")
+    acl.grant(BOB, [AccessMode.READ], resource_path="/data/b.txt")
+    assert acl.allows(BOB, AccessMode.READ, "/data/b.txt", "/data/")
