@@ -14,11 +14,13 @@ operations a run performs, in microseconds per call (median over repeats):
 * ``verify_cached_us`` — a re-verification, served by the verdict cache;
 
 and counts the doublings one verification ladder runs
-(``ladder_doublings``, the most over the sampled signatures).  Timings carry
-no assertion: they swing with the host.  The doubling count is exact, so its
-``pinned_ratio`` (doublings / 256, the doublings of an unsplit 256-bit
-ladder) lets ``scripts/bench_trend.py`` catch a ladder regression without
-timing noise.
+(``ladder_doublings``, the most over the sampled signatures): the ladder
+doubles once per bit position below the first code of the digit schedule
+``fastec._ladder_schedule`` hands it.  Timings carry no assertion: they
+swing with the host.  The doubling count is exact, so its ``pinned_ratio``
+(doublings / 256, the doublings of an unsplit 256-bit ladder) lets
+``scripts/bench_trend.py`` catch a ladder regression without timing
+noise.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def _verify_all(triples):
     return lambda: [crypto.verify(*triple) for triple in triples]
 
 
+def _ladder_doublings(triple) -> int:
+    """Verify *triple* (a verdict-cache miss) and return its ladder's doublings."""
+    tops = []
+    real = fastec._ladder_schedule
+
+    def recording(*args):
+        codes, points = real(*args)
+        tops.append(codes[0] >> fastec._POS_SHIFT)
+        return codes, points
+
+    with mock.patch.object(fastec, "_ladder_schedule", recording):
+        assert crypto.verify(*triple)
+    assert len(tops) == 1, "one verification runs one ladder"
+    return tops[0]
+
+
 def test_crypto_operation_costs(report):
     from bench_helpers import bench_row, emit_bench_json
 
@@ -79,13 +97,10 @@ def test_crypto_operation_costs(report):
     verify_cold_us = _median_us([_verify_all(triples) for triples in cold_batches])
 
     # Doublings per ladder, counted on first verifications under a warm table.
-    doublings = []
-    for index in range(SAMPLES):
-        triple = _triple(signer, f"bench-crypto-count-{index}".encode())
-        with mock.patch.object(fastec, "jac_double", wraps=fastec.jac_double) as doubling:
-            assert crypto.verify(*triple)
-        doublings.append(doubling.call_count)
-    ladder_doublings = max(doublings)
+    ladder_doublings = max(
+        _ladder_doublings(_triple(signer, f"bench-crypto-count-{index}".encode()))
+        for index in range(SAMPLES)
+    )
     doubling_ratio = round(ladder_doublings / 256, 3)
 
     report("crypto per operation", sign_us=sign_us, verify_us=verify_us,

@@ -38,6 +38,7 @@ from repro.core.architecture import ArchitectureConfig, UsageControlArchitecture
 from bench_helpers import bench_row, emit_bench_json
 
 SLOTS = 12
+COLD_START_REPEATS = 5  # timed cold starts per path and size; the best one counts
 SENDER = KeyPair.from_name("rob-sender")
 
 
@@ -169,6 +170,15 @@ def _durable_chain_with_consumers(directory: str, consumers: int,
     return key
 
 
+def _timed_open(store_dir, key):
+    """Cold-start the node persisted in *store_dir*; return it (closed) and the wall time."""
+    started = time.perf_counter()
+    node = BlockchainNode.open_from_disk(store_dir, key)
+    seconds = time.perf_counter() - started
+    node.close()
+    return node, seconds
+
+
 def test_e9_cold_start_scales_with_tail_not_chain(report, tmp_path):
     """Cold start from a finality snapshot vs a full replay from genesis.
 
@@ -176,32 +186,34 @@ def test_e9_cold_start_scales_with_tail_not_chain(report, tmp_path):
     vouch for it) and re-executes only the non-final tail, so its wall time
     scales with the reorg window; the genesis path re-executes every
     transaction ever applied.  The pinned ratio (snapshot / genesis wall
-    time) must stay below 1 and is tracked by the trend gate.
+    time) must stay below 1 and is tracked by the trend gate.  Each path is
+    timed COLD_START_REPEATS times, alternating, and the best time of each
+    is compared, so one host stall in one sample cannot decide the ratio.
     """
     populations = [1000, 2000]
     snapshot_ms, genesis_ms = [], []
     for consumers in populations:
         store_dir = str(tmp_path / f"store-{consumers}")
         key = _durable_chain_with_consumers(store_dir, consumers)
-
-        started = time.perf_counter()
-        restored = BlockchainNode.open_from_disk(store_dir, key)
-        snapshot_seconds = time.perf_counter() - started
-        assert restored.recovery.snapshot_height > 0
-        assert restored.recovery.replayed_blocks <= 8  # the reorg window
-        restored.close()
-
         # Same log, snapshots removed: recovery must replay from genesis.
         bare_dir = str(tmp_path / f"bare-{consumers}")
         shutil.copytree(store_dir, bare_dir)
         shutil.rmtree(f"{bare_dir}/snapshots")
-        started = time.perf_counter()
-        replayed = BlockchainNode.open_from_disk(bare_dir, key)
-        genesis_seconds = time.perf_counter() - started
-        assert replayed.recovery.snapshot_height == 0
-        assert replayed.recovery.replayed_blocks == 32
-        assert replayed.chain.head.hash == restored.chain.head.hash
-        replayed.close()
+
+        snapshot_times, genesis_times = [], []
+        for _ in range(COLD_START_REPEATS):
+            restored, seconds = _timed_open(store_dir, key)
+            snapshot_times.append(seconds)
+            assert restored.recovery.snapshot_height > 0
+            assert restored.recovery.replayed_blocks <= 8  # the reorg window
+
+            replayed, seconds = _timed_open(bare_dir, key)
+            genesis_times.append(seconds)
+            assert replayed.recovery.snapshot_height == 0
+            assert replayed.recovery.replayed_blocks == 32
+            assert replayed.chain.head.hash == restored.chain.head.hash
+        snapshot_seconds = min(snapshot_times)
+        genesis_seconds = min(genesis_times)
 
         snapshot_ms.append(round(snapshot_seconds * 1e3, 2))
         genesis_ms.append(round(genesis_seconds * 1e3, 2))

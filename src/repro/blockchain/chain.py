@@ -500,8 +500,9 @@ class Blockchain:
             if self.snapshot_interval and block.number % self.snapshot_interval == 0:
                 # The head state right now IS the state at this height; the
                 # snapshot stays pending until the height finalizes below.
+                # The write serializes the live state at once: no copy.
                 self.store.write_pending_snapshot(
-                    block.number, block.header.state_root, self.state.to_dict()
+                    block.number, block.header.state_root, self.state.live_dict()
                 )
         while self._open_frames > self.max_reorg_depth:
             finalized = self.height - self._open_frames + 1

@@ -10,20 +10,15 @@ derived deterministically from the message and private key (in the spirit of
 RFC 6979), so signing is reproducible and never leaks the key through a bad
 RNG.
 
-Two implementations coexist:
-
-* the **reference** affine double-and-add path (``reference_sign`` /
-  ``reference_verify``) — kept verbatim as the specification the fast path
-  is pinned against;
-* the **fast** path used by :func:`sign` / :func:`verify` — fixed-base
-  precomputed tables for signing and a GLV-split Shamir ladder for
-  verification from :mod:`repro.blockchain.fastec`, plus an LRU
-  ``(public key, message digest, signature)`` verification cache and
-  :func:`verify_batch`, which amortizes per-sender table construction
-  across a whole block of signatures.
-
-Both produce bit-identical signatures and verdicts (Hypothesis-pinned in
-``tests/blockchain/test_bc_crypto_fast_property.py``).
+Signing and verification run on :mod:`repro.blockchain.fastec`:
+fixed-base comb tables for ``k·G`` and a GLV-split Shamir ladder for
+``u1·G + u2·Q``.  Around them sit an LRU ``(public key, message digest,
+signature)`` verdict cache and :func:`verify_batch`, which amortizes
+per-sender table construction across a whole block of signatures.
+Signatures and verdicts are bit-identical to textbook affine
+double-and-add ECDSA, which ``tests/blockchain/reference_ecdsa.py`` keeps
+as the oracle of the Hypothesis pins in
+``tests/blockchain/test_bc_crypto_fast_property.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +40,6 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _G = (_GX, _GY)
 
 assert (fastec.P, fastec.N, fastec.GX, fastec.GY) == (_P, _N, _GX, _GY)
-
-Point = Optional[Tuple[int, int]]  # None is the point at infinity
 
 # Bounded memo of verification verdicts keyed by (public key, message digest,
 # r, s).  Monitoring rounds and chain replays re-verify the same signatures;
@@ -114,45 +107,11 @@ def verify_merkle_proof(leaf: bytes, path: List[Tuple[str, str]], root: str) -> 
     return current.hex() == root
 
 
-# -- elliptic-curve arithmetic -------------------------------------------------
+# -- keys and signatures -------------------------------------------------------
 
 
 def _inverse_mod(value: int, modulus: int) -> int:
     return pow(value, -1, modulus)
-
-
-def _point_add(a: Point, b: Point) -> Point:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ax, ay = a
-    bx, by = b
-    if ax == bx and (ay + by) % _P == 0:
-        return None
-    if a == b:
-        slope = (3 * ax * ax) * _inverse_mod(2 * ay, _P) % _P
-    else:
-        slope = (by - ay) * _inverse_mod(bx - ax, _P) % _P
-    x = (slope * slope - ax - bx) % _P
-    y = (slope * (ax - x) - ay) % _P
-    return (x, y)
-
-
-def _point_multiply(k: int, point: Point) -> Point:
-    if k % _N == 0 or point is None:
-        return None
-    result: Point = None
-    addend = point
-    while k:
-        if k & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        k >>= 1
-    return result
-
-
-# -- keys and signatures -------------------------------------------------------
 
 
 def _deterministic_nonce(private_key: int, digest: bytes) -> int:
@@ -191,41 +150,17 @@ def _sign_with(multiply_g, private_key: int, message: bytes) -> Tuple[int, int]:
         return (r, s)
 
 
-def reference_sign(private_key: int, message: bytes) -> Tuple[int, int]:
-    """Sign via the affine double-and-add reference path (the specification)."""
-    return _sign_with(lambda k: _point_multiply(k, _G), private_key, message)
-
-
 def sign(private_key: int, message: bytes) -> Tuple[int, int]:
     """Produce an ECDSA signature (r, s) over SHA-256(message).
 
-    Uses the fixed-base precomputed tables; bit-identical to
-    :func:`reference_sign` (same deterministic nonce, same low-s form).
+    Uses the fixed-base comb tables; bit-identical to affine double-and-add
+    ECDSA (same deterministic nonce, same low-s form).
     """
     return _sign_with(fastec.mul_g, private_key, message)
 
 
-def reference_verify(public_key: Tuple[int, int], message: bytes,
-                     signature: Tuple[int, int]) -> bool:
-    """Verify via the affine double-and-add reference path."""
-    try:
-        r, s = signature
-    except (TypeError, ValueError):
-        return False
-    if not (1 <= r < _N and 1 <= s < _N):
-        return False
-    z = int.from_bytes(sha256(message), "big")
-    w = _inverse_mod(s, _N)
-    u1 = (z * w) % _N
-    u2 = (r * w) % _N
-    point = _point_add(_point_multiply(u1, _G), _point_multiply(u2, public_key))
-    if point is None:
-        return False
-    return point[0] % _N == r
-
-
 def _verify_fast(public_key: Tuple[int, int], digest: bytes, r: int, s: int,
-                 point_table: Optional[list] = None) -> bool:
+                 point_table: Optional[fastec.FlatTable] = None) -> bool:
     """Shamir-ladder verification over a precomputed message digest."""
     z = int.from_bytes(digest, "big")
     w = _inverse_mod(s, _N)
@@ -258,14 +193,13 @@ def _checked_signature(public_key, signature) -> Optional[Tuple[int, int]]:
     return (r, s)
 
 
-def _verify_cached(public_key: Tuple[int, int], message: bytes, r: int, s: int,
-                   point_table: Optional[list] = None) -> bool:
+def _verify_cached(public_key: Tuple[int, int], message: bytes, r: int, s: int) -> bool:
     key = (tuple(public_key), sha256(message), r, s)
     cached = _VERIFY_CACHE.get(key)
     if cached is not None:
         _VERIFY_CACHE.move_to_end(key)
         return cached
-    return _cache_verdict(key, _verify_fast(key[0], key[1], r, s, point_table))
+    return _cache_verdict(key, _verify_fast(key[0], key[1], r, s))
 
 
 def verify(public_key: Tuple[int, int], message: bytes, signature: Tuple[int, int]) -> bool:
@@ -274,8 +208,9 @@ def verify(public_key: Tuple[int, int], message: bytes, signature: Tuple[int, in
     Fast path: one Shamir double-scalar ladder with cached per-key tables,
     behind an LRU verdict cache keyed by (public key, digest, signature) —
     so re-verifying a signature (chain replay, repeated monitoring rounds)
-    is a dictionary hit.  Verdicts are identical to :func:`reference_verify`
-    for any on-curve public key; off-curve keys are rejected outright.
+    is a dictionary hit.  Verdicts are identical to affine double-and-add
+    verification for any on-curve public key; off-curve keys are rejected
+    outright.
     """
     scalars = _checked_signature(public_key, signature)
     if scalars is None:
@@ -288,8 +223,9 @@ def verify_batch(items: Sequence[Tuple[Tuple[int, int], bytes, Tuple[int, int]]]
 
     The pass is amortized, not just looped: repeated triples are served from
     the verdict cache without touching the curve at all, and the width-5
-    wNAF table of a distinct public key is built only when at least one of
-    its triples actually misses (and is kept in the LRU for the next block).
+    table of a distinct public key (and of its λ image) is built only when
+    at least one of its triples actually misses (and is kept in the LRU for
+    the next block).
     A block carrying K signatures from M senders therefore costs M table
     builds plus K Shamir ladders on first sight, and K dictionary hits on
     replay.

@@ -736,9 +736,20 @@ class WorldState:
         return self._root_value
 
     def to_dict(self) -> dict:
+        """An independent dump of the state: later mutations do not reach it."""
+        dump = self.live_dict()
+        dump["storage"] = copy.deepcopy(dump["storage"])
+        return dump
+
+    def live_dict(self) -> dict:
+        """The :meth:`to_dict` dump without copying contract storage.
+
+        It shares the live storage dicts, so it must be serialized before the
+        state changes again; a snapshot write serializes it at once.
+        """
         return {
             "accounts": {addr: acc.to_dict() for addr, acc in self._accounts.items()},
-            "storage": copy.deepcopy(self._storage),
+            "storage": self._storage,
         }
 
     @classmethod

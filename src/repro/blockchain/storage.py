@@ -508,7 +508,11 @@ class ChainStore:
 
     def write_pending_snapshot(self, height: int, state_root: str,
                                state_payload: Dict[str, Any]) -> str:
-        """Record the world state at *height* as a pending (non-final) snapshot."""
+        """Record the world state at *height* as a pending (non-final) snapshot.
+
+        *state_payload* is serialized before this returns, so it may share
+        the live state's dicts.
+        """
         name = self._snapshot_name(_PENDING_PREFIX, height, state_root)
         path = os.path.join(self.snapshot_dir, name)
         atomic_write_json(

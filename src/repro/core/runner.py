@@ -317,8 +317,10 @@ class _ShadowModel:
         self.copies_of: Dict[str, Dict[str, _CopyState]] = {}
         self.active_grants: Set[Tuple[str, str]] = set()
         # -- violation-response cascade state -------------------------------
-        # (consumer, resource key) pairs holding a READ entry in the pod ACL.
-        self.acl: Set[Tuple[str, str]] = set()
+        # consumer -> resource keys for which it holds a READ entry in the
+        # pod ACL, indexed by consumer so a pod-wide revocation touches only
+        # that consumer's entries.
+        self.acl: Dict[str, Set[str]] = {}
         # (consumer, resource key) pairs whose market-fee certificate the
         # playbook revoked and that have not re-purchased since.
         self.cert_revoked: Set[Tuple[str, str]] = set()
@@ -347,7 +349,7 @@ class _ShadowModel:
         if granted:
             # The full access process grants the pod ACL entry; a bare
             # re-access attempt (attempt_access) relies on an existing one.
-            self.acl.add((consumer, resource))
+            self.acl.setdefault(consumer, set()).add(resource)
 
     def predict_reaccess(self, consumer: str, resource: str) -> Tuple[bool, str]:
         """Whether a consumer-initiated re-access attempt should be served.
@@ -359,7 +361,7 @@ class _ShadowModel:
         """
         if consumer not in self.subscribed:
             return False, "not subscribed to the market"
-        if (consumer, resource) not in self.acl:
+        if resource not in self.acl.get(consumer, ()):
             return False, "no pod ACL entry"
         if (consumer, resource) in self.cert_revoked:
             return False, "certificate revoked"
@@ -369,7 +371,7 @@ class _ShadowModel:
         self.cert_revoked.discard((consumer, resource))
 
     def on_regrant(self, consumer: str, resource: str) -> None:
-        self.acl.add((consumer, resource))
+        self.acl.setdefault(consumer, set()).add(resource)
 
     def predict_use(self, consumer: str, resource: str,
                     purpose: Optional[str]) -> Tuple[bool, str]:
@@ -480,11 +482,8 @@ class _ShadowModel:
             for consumer, _ in flagged:
                 self.active_grants.discard((consumer, resource))
                 self.cert_revoked.add((consumer, resource))
-                self.acl = {
-                    (name, key)
-                    for name, key in self.acl
-                    if not (name == consumer and self.owner_of[key] == owner)
-                }
+                granted = self.acl.get(consumer, set())
+                granted -= {key for key in granted if self.owner_of[key] == owner}
 
 
 # -- the runner ----------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Hypothesis pins: the fast crypto path is bit-identical to the reference.
 
-:mod:`repro.blockchain.fastec` replaces the reference affine double-and-add
-with fixed-base comb tables (sign) and a GLV-split Shamir wNAF ladder
-(verify).  The two implementations must be indistinguishable:
+:mod:`repro.blockchain.fastec` replaces the affine double-and-add of
+``reference_ecdsa.py`` with a signed 8-bit fixed-base comb (sign) and a
+GLV-split wNAF ladder over one merged digit schedule (verify).  The two
+implementations must be indistinguishable:
 
 * ``sign`` == ``reference_sign``, bit for bit, including the low-s form;
 * ``verify`` == ``reference_verify`` on valid signatures, wrong keys,
   tampered messages, and tampered signatures;
 * the scalar-multiplication primitives agree with the reference ladder on
-  arbitrary scalars (including the group-order edge cases) and on the
-  degenerate ladders where an addition meets a doubling, the sum is
+  arbitrary scalars, on the comb's carry and group-order edge cases, and on
+  the degenerate ladders where an addition meets a doubling, the sum is
   infinity, or the key is ``λG``;
 * the GLV split recombines to its scalar with halves of at most 128 bits,
-  so one verification ladder runs at most 129 doublings;
+  so one verification ladder's schedule starts at most at position 128
+  and the ladder runs at most 128 doublings;
+* the fixed tables are flat tuples of ints: building them triggers no
+  young garbage collection;
 * the verification cache can never serve a stale verdict across a key
   rotation, because the public key is part of the cache key;
 * ``verify_batch`` agrees item-by-item with ``verify``, malformed
@@ -22,24 +26,15 @@ The ``slow`` acceptance test replays the full sign/verify equivalence on
 500 derandomized generated cases.
 """
 
+import gc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_ecdsa import _point_add, _point_multiply, reference_sign, reference_verify
 from repro.blockchain import fastec
-from repro.blockchain.crypto import (
-    KeyPair,
-    _G,
-    _N,
-    _point_add,
-    _point_multiply,
-    reference_sign,
-    reference_verify,
-    sign,
-    verify,
-    verify_batch,
-)
+from repro.blockchain.crypto import KeyPair, _G, _N, sign, verify, verify_batch
 
 private_keys = st.integers(1, _N - 1)
 scalars = st.integers(0, 2 * _N)
@@ -52,6 +47,19 @@ messages = st.binary(min_size=0, max_size=256)
 @given(scalars)
 @settings(max_examples=30, deadline=None)
 def test_fixed_base_comb_matches_reference_ladder(k):
+    assert fastec.mul_g(k) == _point_multiply(k, _G)
+
+
+@pytest.mark.parametrize("k", [
+    1,
+    _N - 1,
+    _N - 2,
+    2**255,                                    # top window exactly 128: digit +128
+    2**248 - 1,                                # 31 windows of 0xFF: carry runs to window 31
+    int("FF" * 15 + "FD" + "FF" * 16, 16),     # every window 0xFF but one: carry into window 32
+    2**256 - 1,                                # every window 0xFF before reduction mod N
+], ids=["1", "N-1", "N-2", "2^255", "2^248-1", "0xFF-windows-below-N", "2^256-1"])
+def test_signed_comb_boundaries_match_reference_ladder(k):
     assert fastec.mul_g(k) == _point_multiply(k, _G)
 
 
@@ -111,18 +119,53 @@ def test_ladder_on_q_equal_lambda_g(u1, u2):
     assert fastec.shamir_mul(u1, u2, lambda_g) == _reference_sum(u1, u2, lambda_g)
 
 
+def _ladder_doublings(u1, u2, point):
+    """Run one verification ladder; return its doubling count and result.
+
+    The ladder doubles once per bit position below the first (highest) code
+    of the schedule ``fastec._ladder_schedule`` hands it, so that position
+    is its doubling count."""
+    tops = []
+    real = fastec._ladder_schedule
+
+    def recording(*args):
+        codes, points = real(*args)
+        tops.append(codes[0] >> fastec._POS_SHIFT)
+        return codes, points
+
+    with mock.patch.object(fastec, "_ladder_schedule", recording):
+        result = fastec.shamir_mul(u1, u2, point)
+    assert len(tops) == 1, "one ladder runs one schedule"
+    return tops[0], result
+
+
 @given(st.integers(1, _N - 1), st.integers(1, _N - 1))
+@example(_N - 1, _N - 2)
+@example(2**255 + 1, 2**255 + 3)  # full-width scalars, whatever Hypothesis draws
 @settings(max_examples=25, deadline=None)
 def test_verification_ladder_runs_at_most_129_doublings(u1, u2):
     """Half-length ladder pin: the GLV halves are at most 128 bits, so their
-    wNAF has at most 129 digits and the ladder doubles once per digit (an
-    unsplit 256-bit ladder doubles 257 times)."""
+    wNAF digits sit at positions 0..128 (129 digits) and the ladder doubles
+    at most 128 times; an unsplit 256-bit schedule starts near position 256."""
     point = KeyPair.from_name("doubling-count").public_key
-    fastec.shamir_mul(1, 1, point)  # build the G, λG and Q tables first
-    with mock.patch.object(fastec, "jac_double", wraps=fastec.jac_double) as doubling:
-        result = fastec.shamir_mul(u1, u2, point)
-    assert doubling.call_count <= 129
+    doublings, result = _ladder_doublings(u1, u2, point)
+    assert doublings <= 128
     assert result is not None
+
+
+def test_fixed_tables_build_without_a_generation_0_collection():
+    """The comb and G tables hold ~5k points as flat tuples of ints, which
+    the garbage collector does not track.  One tuple per point would add
+    thousands of tracked objects, each young collection threshold's worth
+    triggering a collection while the tables are built, and every later
+    full collection would traverse them."""
+    assert gc.isenabled()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    fastec.clear_tables()
+    fastec.comb_table()
+    fastec.glv_g_table()
+    assert gc.get_stats()[0]["collections"] == before
 
 
 # -- sign/verify equivalence ---------------------------------------------------

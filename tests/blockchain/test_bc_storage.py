@@ -337,6 +337,32 @@ def test_snapshot_with_mismatched_state_is_rejected(tmp_path):
     assert restored.chain.verify_chain(replay=True)
 
 
+def test_snapshot_holds_the_bytes_of_an_independent_state_dump(tmp_path):
+    """A snapshot serializes the live state without deep-copying contract
+    storage; its file must be byte-identical to one written from the
+    independent ``to_dict()`` dump of the same state."""
+    node, key = durable_node(tmp_path, snapshot_interval=4, max_reorg_depth=4)
+    deploy = Transaction(
+        sender=key.address, to=None,
+        data={"contract_class": "DistExchangeApp", "init_args": {}},
+        nonce=node.next_nonce(key.address),
+    )
+    node.submit_transaction(deploy.sign(key))
+    node.produce_block()
+    mine_transfers(node, key, 3)  # height 4: the snapshot is the head state
+    head = node.chain.head
+    dump = node.chain.state.to_dict()
+    assert dump["storage"], "the snapshot must cover contract storage"
+    [written] = os.listdir(node.chain.store.snapshot_dir)
+    copied = tmp_path / "copied.json"
+    atomic_write_json(str(copied), {
+        "height": head.number, "stateRoot": head.header.state_root, "state": dump,
+    })
+    with open(os.path.join(node.chain.store.snapshot_dir, written), "rb") as handle:
+        assert handle.read() == copied.read_bytes()
+    node.close()
+
+
 def test_snapshot_with_corrupt_checksum_is_rejected(tmp_path):
     node, key = durable_node(tmp_path, snapshot_interval=4, max_reorg_depth=4)
     mine_transfers(node, key, 10)
