@@ -5,8 +5,9 @@
   does not change its gas cost.
 * **Monitoring mode** — push-based (devices volunteer evidence whenever a
   round opens) vs the paper's pull-based round-trip through the oracle hub:
-  the pull-based flow costs extra transactions per holder (request +
-  fulfillment) but gives the DE App an explicit, auditable request trail.
+  the pull-based flow costs a fulfillment transaction per holder plus the
+  request fan-out and recording batches, but gives the DE App an explicit,
+  auditable request trail.
 * **Policy storage** — storing the full usage policy on-chain vs anchoring
   only its hash: hash anchoring cuts the gas of resource initiation and
   policy updates, at the price of needing an off-chain channel for the policy
@@ -19,7 +20,6 @@ import pytest
 
 from repro.common.clock import DAY, WEEK, MONTH
 from repro.common.serialization import stable_hash
-from repro.core.monitoring import MonitoringCoordinator
 from repro.core.processes import policy_modification, policy_monitoring, pod_initiation
 from repro.policy.serialization import policy_to_dict
 from repro.policy.templates import retention_policy
@@ -62,15 +62,13 @@ def test_ablation_block_interval(benchmark, report, block_interval):
 @pytest.mark.parametrize("holders", [2, 4])
 def test_ablation_monitoring_pull_vs_push(benchmark, report, holders):
     """Transactions per monitoring round: pull-based (paper) vs push-based."""
-    # Pull-based: the coordinator drives request/fulfill/record per holder.
-    # The sequential flow keeps the per-device transaction accounting this
-    # ablation compares; the batched default collapses the round into a
-    # constant number of transactions (see test_bench_monitoring_scaling).
+    # Pull-based: the coordinator's round enqueues every request in one
+    # transaction, confirms one fulfillment per holder in one block, and
+    # records the evidence in one batch transaction.
     architecture = fresh_architecture()
     owner, resource_id = deploy_owner_with_resource(architecture, retention=MONTH)
-    consumers = consumers_with_copies(architecture, owner, resource_id, holders)
-    coordinator = MonitoringCoordinator(architecture, batched=False)
-    pull_trace = policy_monitoring(architecture, owner, "/data/dataset.bin", coordinator)
+    consumers_with_copies(architecture, owner, resource_id, holders)
+    pull_trace = policy_monitoring(architecture, owner, "/data/dataset.bin")
 
     # Push-based alternative: every holder watches MonitoringRequested events
     # and submits its evidence directly, skipping the oracle hub round trip.
@@ -96,10 +94,11 @@ def test_ablation_monitoring_pull_vs_push(benchmark, report, holders):
     report(f"ablation monitoring holders={holders}",
            pull_transactions=pull_trace.transactions, pull_gas=pull_trace.gas_used,
            push_transactions=push_txs, push_gas=push_gas)
-    # The pull-based flow pays two extra transactions per holder (hub request +
-    # fulfillment); the push-based flow is cheaper but loses the explicit
-    # on-chain request trail.
-    assert pull_trace.transactions == 1 + 3 * holders
+    # Both flows open the round with one transaction.  The pull-based flow
+    # adds the request batch, one fulfillment per holder and the recording
+    # batch; the push-based flow records one piece of evidence per holder.
+    # Push is cheaper but loses the explicit on-chain request trail.
+    assert pull_trace.transactions == 3 + holders
     assert push_txs == 1 + holders
     assert push_gas < pull_trace.gas_used
 

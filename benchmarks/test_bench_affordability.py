@@ -9,7 +9,7 @@ data."
 
 Both measurements are ScenarioSpec-native: one declarative scenario is
 executed by the :class:`~repro.core.runner.ScenarioRunner` and the per-phase
-:class:`~repro.core.runner.StepStats` provide every row — the per-operation
+:class:`~repro.core.processes.StepStats` provide every row — the per-operation
 gas table comes from the labelled setup/access/monitor phases, and the
 break-even point falls out of the owner's measured on-chain spend versus
 their per-access market earnings.  Rows are emitted to

@@ -9,18 +9,18 @@ auto-mined one block per transaction (so one round sealed ~2K+ blocks, each
 re-hashing the contract account).
 
 With per-entry composite slots, slot-granular state-root caching, and the
-batched round flow (one ``create_requests`` transaction, one fulfillment
-block, one ``record_usage_evidence_batch`` transaction) a round seals a
-small constant number of blocks and touches O(holders) entries, so the
-per-holder time stays flat as the holder count grows.
+coordinator's one round flow (one ``create_requests`` transaction, one
+fulfillment block, one ``record_usage_evidence_batch`` transaction) a round
+seals a small constant number of blocks and touches O(holders) entries, so
+the per-holder time stays flat as the holder count grows.
 
 This sweep registers synthetic copy-holding devices with a chunked
 ``record_access_grants`` call (bounded canonical-JSON payload per
 transaction, all chunks confirmed in one block) and then measures complete
 monitoring rounds — whose own batch transactions are likewise chunked at
-``MonitoringCoordinator.chunk_size``.  The measured rows are emitted to
-``BENCH_monitoring.json`` at the repo root in the shared benchmark schema
-(the CI workflow uploads it to track the perf trajectory).
+``MonitoringCoordinator.CHUNK_SIZE`` (500) holders.  The measured rows are
+emitted to ``BENCH_monitoring.json`` at the repo root in the shared
+benchmark schema (the CI workflow uploads it to track the perf trajectory).
 """
 
 from __future__ import annotations

@@ -34,12 +34,12 @@ def main() -> None:
           f"{result.facts['alice_holds_bob_copy_initially']}")
     print(f"After Bob narrowed his policy to academic pursuits,")
     print(f"  Alice's medical-research app keeps its access:      "
-          f"{result.alice_can_still_use_bobs_data}")
+          f"{result.facts['alice_can_still_use_bobs_data']}")
     print(f"After Alice shortened retention to one week,")
     print(f"  her data was erased from Bob's device:              "
-          f"{result.bob_copy_deleted_after_update}")
+          f"{result.facts['bob_copy_deleted_after_update']}")
     print(f"  and further use on Bob's device is blocked:         "
-          f"{result.bob_use_blocked_after_deletion}")
+          f"{result.facts['bob_use_blocked_after_deletion']}")
 
     print("\n=== Policy monitoring (Fig. 2.6) ===")
     for report in result.monitoring_reports:

@@ -760,11 +760,13 @@ class WorldState:
         cache cold, so the first :meth:`state_root` call hashes the whole
         world — which is exactly what a snapshot loader wants: the rebuilt
         root can be compared against the snapshot's claimed root before the
-        state is trusted.
+        state is trusted.  Like :meth:`restore`, it consumes its argument:
+        the state adopts the dump's ``storage`` dicts without copying them,
+        so the caller must not use *data* afterwards.
         """
         state = cls()
         for address, record in data.get("accounts", {}).items():
             state._accounts[address] = Account.from_dict(record)
-        state._storage = copy.deepcopy(data.get("storage", {}))
+        state._storage = data.get("storage", {})
         state._dirty = set(state._accounts)
         return state

@@ -10,7 +10,7 @@ Alice & Bob end-to-end scenario.
 
 from repro.core.architecture import UsageControlArchitecture, ArchitectureConfig
 from repro.core.participants import DataOwner, DataConsumer
-from repro.core.processes import ProcessTrace
+from repro.core.processes import ProcessTrace, StepStats
 from repro.core.monitoring import MonitoringCoordinator, MonitoringReport, verify_evidence
 from repro.core.baseline import BaselineSolidDeployment
 from repro.core.spec import (
@@ -24,7 +24,6 @@ from repro.core.spec import (
 from repro.core.runner import (
     BaselineScenarioRunner,
     ScenarioRunner,
-    StepStats,
     ViolationLedger,
     ViolationRecord,
 )

@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.clock import Clock, SimulatedClock
 from repro.common.errors import ValidationError
@@ -234,7 +234,7 @@ class UsageControlArchitecture:
 
     # -- participant registration ----------------------------------------------------------
 
-    def register_owner(self, name: str, pod_base_url: Optional[str] = None) -> DataOwner:
+    def register_owner(self, name: str) -> DataOwner:
         """Create a data owner with a wired pod manager and oracle components."""
         if name in self.owners:
             raise ValidationError(f"an owner named {name} is already registered")
@@ -246,7 +246,6 @@ class UsageControlArchitecture:
 
         pod_manager = PodManager(
             webid,
-            base_url=pod_base_url,
             clock=self.clock,
             certificate_verifier=self._certificate_verifier,
         )
@@ -428,9 +427,9 @@ class UsageControlArchitecture:
         """Make the validator at *index* double-seal its next proposing slot."""
         self._require_network().equivocate_validator(index)
 
-    def crash_validator(self, index: int, torn_tail: bool = True) -> None:
+    def crash_validator(self, index: int) -> None:
         """Hard-crash (kill -9) the validator at *index*, abandoning its store."""
-        self._require_network().crash_validator(index, torn_tail=torn_tail)
+        self._require_network().crash_validator(index)
 
     def restart_validator(self, index: int) -> Dict[str, object]:
         """Rebuild a hard-crashed validator from disk; returns the recovery report."""
@@ -502,10 +501,6 @@ class UsageControlArchitecture:
 
     def advance_time(self, seconds: float) -> None:
         """Advance the simulated clock (and run any scheduled jobs)."""
+        # A deployment has a scheduler exactly when its clock is simulated.
         if self.scheduler is not None:
             self.scheduler.run_for(seconds)
-        elif isinstance(self.clock, SimulatedClock):
-            self.clock.advance(seconds)
-
-    def all_participants(self) -> List[str]:
-        return sorted(list(self.owners) + list(self.consumers))

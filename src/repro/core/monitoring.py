@@ -16,15 +16,14 @@ opens the round through the owner's pod manager, relays the DE App's evidence
 requests to the copy-holding devices through the oracle request hub, records
 the answers on-chain, and assembles a :class:`MonitoringReport`.
 
-By default the coordinator runs **batched**: the evidence requests for every
-holder are enqueued with one ``create_requests`` transaction, the devices'
+A round runs in three batched phases: the evidence requests for every holder
+are enqueued with one ``create_requests`` transaction, the devices'
 fulfillments are confirmed in one block through
 ``BlockchainInteractionModule.batch()``, and the collected evidence is
 recorded with one ``record_usage_evidence_batch`` transaction — so a round
-seals a small constant number of blocks instead of O(holders).  The
-transaction-per-device flow is kept behind ``batched=False`` (it produces
-byte-identical reports and on-chain records, which the equivalence tests
-pin).
+seals a small constant number of blocks instead of O(holders).  Rounds over
+more than :attr:`MonitoringCoordinator.CHUNK_SIZE` holders split each batch
+transaction into bounded chunks that still confirm in one block.
 
 Evidence claiming compliance is **verified** before it is recorded: the
 enclave signature must check out over the body, the measurement must be
@@ -45,7 +44,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.common.errors import NotFoundError, OracleError
 from repro.common.serialization import canonical_json, stable_hash
 from repro.blockchain.crypto import verify as verify_signature
-from repro.core.participants import DataConsumer, DataOwner, consumer_for_device
+from repro.core.participants import DataConsumer, DataOwner
 
 NO_EVIDENCE = {"compliant": False, "details": "no evidence provided"}
 
@@ -114,21 +113,16 @@ class MonitoringReport:
 class MonitoringCoordinator:
     """Drives monitoring rounds across the DE App, oracles, and consumer TEEs."""
 
-    DEFAULT_CHUNK_SIZE = 500
+    # Rounds over more than CHUNK_SIZE holders split their batch
+    # transactions (create_requests / record_usage_evidence_batch) into
+    # bounded chunks confirmed together in one block, so a 5k-holder round
+    # never hashes one 5k-item canonical-JSON payload.  Rounds at or under
+    # it submit one transaction per phase.
+    CHUNK_SIZE = 500
 
-    def __init__(self, architecture, batched: bool = True,
-                 chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-                 workers: int = 1):
-        # Imported lazily by type to avoid a circular import with architecture.
+    def __init__(self, architecture, workers: int = 1):
         self.architecture = architecture
-        self.batched = batched
-        # Rounds over more than chunk_size holders split their batch
-        # transactions (create_requests / record_usage_evidence_batch) into
-        # bounded chunks confirmed together in one block, so a 5k-holder
-        # round never hashes one 5k-item canonical-JSON payload.  Rounds at
-        # or under the chunk size keep the exact single-transaction flow.
-        self.chunk_size = chunk_size
-        # With workers > 1 a batched round partitions its holder set into
+        # With workers > 1 a round partitions its holder set into
         # contiguous shards and hands each to a forked worker process: the
         # per-device evidence generation and enclave-signature verification
         # (the round's CPU wall at 10k consumers) run in parallel against
@@ -154,26 +148,20 @@ class MonitoringCoordinator:
         # definition; remember the opening time for the freshness check.
         opened_at = arch.clock.now()
         resource_id = owner.request_monitoring(resource_path)
-        round_id = self._round_id_for(owner, resource_id)
+        # The architecture wiring records the id start_monitoring returned.
+        round_id = owner.monitoring_round_ids[resource_id]
         round_record = arch.dist_exchange_read("get_monitoring_round", {"round_id": round_id})
         holders: List[str] = list(round_record["holders"])
         report = MonitoringReport(round_id=round_id, resource_id=resource_id, holders=holders)
-
-        if self.batched:
-            self._collect_evidence_batched(report, opened_at)
-        else:
-            self._collect_evidence_sequential(report, opened_at)
-
+        self._collect_evidence(report, opened_at)
         report.violations = arch.dist_exchange_read("get_violations", {"resource_id": resource_id})
         self.reports.append(report)
         return report
 
-    # -- batched flow (constant blocks per round) ---------------------------------------
-
-    def _collect_evidence_batched(self, report: MonitoringReport, opened_at: float) -> None:
+    def _collect_evidence(self, report: MonitoringReport, opened_at: float) -> None:
         """One block per phase: request fan-out, fulfillments, recording.
 
-        Each phase is a single transaction up to :attr:`chunk_size` holders
+        Each phase is a single transaction up to :attr:`CHUNK_SIZE` holders
         and a handful of bounded, same-block transactions beyond it.
         """
         arch = self.architecture
@@ -198,7 +186,7 @@ class MonitoringCoordinator:
                 }
                 for device_id in report.holders
             ],
-            chunk_size=self.chunk_size,
+            chunk_size=self.CHUNK_SIZE,
         )
         returned_ids = [request_id for receipt in receipts for request_id in receipt.return_value]
         request_ids: Dict[str, int] = dict(zip(report.holders, returned_ids))
@@ -207,7 +195,7 @@ class MonitoringCoordinator:
         # the fulfillment transactions of every reachable device are sealed
         # in a single block.
         served: List[Tuple[str, int, Optional[DataConsumer]]] = [
-            (device_id, request_id, self._consumer_for_device(device_id))
+            (device_id, request_id, arch.consumer_for_device(device_id))
             for device_id, request_id in request_ids.items()
         ]
         outcomes = self._serve_sharded(served, opened_at, report.round_id)
@@ -238,15 +226,18 @@ class MonitoringCoordinator:
             }
 
         # The collected evidence is recorded in the DE App with one (chunked)
-        # batch transaction; it emits the same per-device EvidenceRecorded
-        # events (delivered to the owner by the push-out oracle) as the
-        # transaction-per-device flow.  Report bookkeeping runs here, in
-        # holder order, so sharded and in-process rounds yield identical
-        # reports.
+        # batch transaction; it emits one EvidenceRecorded event per device
+        # (delivered to the owner by the push-out oracle).  Report
+        # bookkeeping runs here, in holder order, so sharded and in-process
+        # rounds yield identical reports.
         evidence_items = []
         for device_id in request_ids:
             evidence = evidence_by_device[device_id]
-            self._record_verdict(report, device_id, evidence)
+            report.evidence[device_id] = evidence
+            if evidence.get("compliant", False):
+                report.compliant_devices.append(device_id)
+            else:
+                report.non_compliant_devices.append(device_id)
             evidence_items.append({"device_id": device_id, "evidence": evidence})
         arch.operator_module.call_contract_chunked(
             arch.dist_exchange_address,
@@ -254,43 +245,8 @@ class MonitoringCoordinator:
             "evidence_items",
             evidence_items,
             static_args={"round_id": report.round_id},
-            chunk_size=self.chunk_size,
+            chunk_size=self.CHUNK_SIZE,
         )
-
-    # -- sequential flow (one transaction per device) ----------------------------------------
-
-    def _collect_evidence_sequential(self, report: MonitoringReport, opened_at: float) -> None:
-        arch = self.architecture
-        request_ids: Dict[str, int] = {}
-        for device_id in report.holders:
-            receipt = arch.operator_module.call_contract(
-                arch.oracle_hub_address,
-                "create_request",
-                {
-                    "kind": "usage_evidence",
-                    "payload": {
-                        "resource_id": report.resource_id,
-                        "device_id": device_id,
-                        "round_id": report.round_id,
-                    },
-                    "target": device_id,
-                },
-            )
-            request_ids[device_id] = receipt.return_value
-
-        for device_id, request_id in request_ids.items():
-            consumer = self._consumer_for_device(device_id)
-            if consumer is None:
-                continue
-            consumer.pull_in.serve_request(request_id)
-
-        for device_id, request_id in request_ids.items():
-            evidence = self._classify(report, device_id, self._fetch_response(request_id), opened_at)
-            arch.operator_module.call_contract(
-                arch.dist_exchange_address,
-                "record_usage_evidence",
-                {"round_id": report.round_id, "device_id": device_id, "evidence": evidence},
-            )
 
     # -- scheduled monitoring ------------------------------------------------------------
 
@@ -334,23 +290,6 @@ class MonitoringCoordinator:
                 evidence = dict(evidence)
                 evidence["compliant"] = False
                 evidence["details"] = f"evidence rejected: {reason}"
-        return evidence
-
-    @staticmethod
-    def _record_verdict(report: MonitoringReport, device_id: str,
-                        evidence: Dict[str, Any]) -> None:
-        """Fold one screened evidence record into the round's report."""
-        report.evidence[device_id] = evidence
-        if evidence.get("compliant", False):
-            report.compliant_devices.append(device_id)
-        else:
-            report.non_compliant_devices.append(device_id)
-
-    def _classify(self, report: MonitoringReport, device_id: str,
-                  evidence: Dict[str, Any], opened_at: float) -> Dict[str, Any]:
-        """Verify, record, and return one device's evidence (sequential flow)."""
-        evidence = self._screen_evidence(evidence, opened_at)
-        self._record_verdict(report, device_id, evidence)
         return evidence
 
     # -- sharded serving (workers > 1) -------------------------------------------------------
@@ -511,15 +450,10 @@ class MonitoringCoordinator:
         the duplicated descriptors are reclaimed when the worker exits.
         """
         arch = self.architecture
-        chains = []
-        node = getattr(arch, "node", None)
-        if node is not None:
-            chains.append(node.chain)
-        network = getattr(arch, "validator_network", None)
-        if network is not None:
-            for validator in network.validators:
-                if validator.node is not None:
-                    chains.append(validator.node.chain)
+        chains = [arch.node.chain]
+        if arch.validator_network is not None:
+            chains += [validator.node.chain for validator in arch.validator_network.validators
+                       if validator.node is not None]
         for chain in chains:
             chain.store = None
             chain.snapshot_interval = 0
@@ -528,27 +462,3 @@ class MonitoringCoordinator:
         # Fail loudly if the deployment ever loses its attestation verifier:
         # silently skipping the measurement check would weaken verification.
         return self.architecture.attestation_verifier.trusted_measurements
-
-    def _round_id_for(self, owner: DataOwner, resource_id: str) -> int:
-        """Round id of the round just opened through the owner's push-in oracle.
-
-        The architecture wiring records the ``start_monitoring`` return value
-        on the owner; the historical ``MonitoringRequested`` log scan is kept
-        only as a fallback for custom wirings.
-        """
-        round_id = owner.monitoring_round_ids.get(resource_id)
-        if round_id is not None:
-            return round_id
-        return self._latest_round_id(resource_id)
-
-    def _latest_round_id(self, resource_id: str) -> int:
-        logs = self.architecture.node.get_logs(
-            address=self.architecture.dist_exchange_address, event="MonitoringRequested"
-        )
-        matching = [log for log in logs if log.data.get("resource_id") == resource_id]
-        if not matching:
-            raise NotFoundError(f"no monitoring round was opened for {resource_id}")
-        return matching[-1].data["round_id"]
-
-    def _consumer_for_device(self, device_id: str) -> Optional[DataConsumer]:
-        return consumer_for_device(self.architecture, device_id)

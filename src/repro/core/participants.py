@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.common.errors import NotFoundError
 from repro.policy.model import Policy
-from repro.policy.serialization import policy_to_dict
 from repro.solid.pod import OCTET_STREAM
 from repro.solid.pod_manager import PodManager
 from repro.solid.webid import WebID
@@ -26,22 +25,6 @@ from repro.oracles.push_in import PushInOracle
 from repro.oracles.push_out import PushOutOracle
 from repro.tee.enclave import TrustedExecutionEnvironment
 from repro.tee.trusted_app import TrustedApplication
-
-
-def consumer_for_device(architecture, device_id: str) -> Optional["DataConsumer"]:
-    """Resolve the consumer operating *device_id* on an architecture.
-
-    Uses the architecture's O(1) device map when it has one
-    (``UsageControlArchitecture.consumer_for_device``); scanning the
-    consumer registry is kept as a fallback for custom wirings.
-    """
-    finder = getattr(architecture, "consumer_for_device", None)
-    if finder is not None:
-        return finder(device_id)
-    for consumer in architecture.consumers.values():
-        if consumer.device_id == device_id:
-            return consumer
-    return None
 
 
 @dataclass

@@ -5,6 +5,10 @@ same components the paper names (pod manager, oracles, DE App, TEE) and
 returns a :class:`ProcessTrace` recording the wall-clock duration, the
 simulated network latency, the number of transactions confirmed, and the gas
 consumed — the quantities the benchmark harness reports per process.
+
+:class:`PhaseProbe` takes those measurements, here and around every phase of
+a scenario run (:class:`StepStats`); it is the one place that times the
+scenario layer.
 """
 
 from __future__ import annotations
@@ -42,42 +46,91 @@ class ProcessTrace:
         }
 
 
-class _Instrumented:
-    """Context manager capturing the per-process deltas of the deployment."""
+@dataclass
+class StepStats:
+    """Resource consumption of one scenario phase (setup group or step)."""
 
-    def __init__(self, architecture, process: str):
+    index: int
+    phase: str
+    label: str
+    gas_used: int = 0
+    transactions: int = 0
+    blocks: int = 0
+    wall_clock_seconds: float = 0.0
+    network_seconds: float = 0.0
+    details: Dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "phase": self.phase,
+            "label": self.label,
+            "gasUsed": self.gas_used,
+            "transactions": self.transactions,
+            "blocks": self.blocks,
+            "wallClockSeconds": self.wall_clock_seconds,
+            "networkSeconds": self.network_seconds,
+            "details": dict(self.details),
+        }
+
+
+class PhaseProbe:
+    """Context manager capturing what one phase of a deployment cost.
+
+    On exit it holds the phase's wall-clock time, simulated network
+    latency, and the gas, transactions and blocks the primary chain gained;
+    :meth:`trace` reports them as a process, :meth:`stats` as a scenario
+    step.
+    """
+
+    def __init__(self, architecture):
         self.architecture = architecture
-        self.process = process
 
-    def __enter__(self) -> "_Instrumented":
+    def __enter__(self) -> "PhaseProbe":
+        chain = self.architecture.node.chain
         self._start_wall = time.perf_counter()
         self._start_latency = self.architecture.network.total_latency
-        self._start_gas = self.architecture.total_gas_used()
-        # Served by the chain's running aggregate (O(1)); the seed summed
-        # len(block.transactions) over the whole chain on every entry/exit.
-        self._start_txs = self.architecture.node.chain.transaction_count()
+        # Running aggregates of the chain (O(1)), not sums over its blocks.
+        self._start_gas = chain.total_gas_used()
+        self._start_txs = chain.transaction_count()
+        self._start_height = chain.height
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        chain = self.architecture.node.chain
         self.wall = time.perf_counter() - self._start_wall
         self.latency = self.architecture.network.total_latency - self._start_latency
-        self.gas = self.architecture.total_gas_used() - self._start_gas
-        self.transactions = (
-            self.architecture.node.chain.transaction_count() - self._start_txs
-        )
+        self.gas = chain.total_gas_used() - self._start_gas
+        self.transactions = chain.transaction_count() - self._start_txs
+        self.blocks = chain.height - self._start_height
 
-    def trace(self, **details: Any) -> ProcessTrace:
-        trace = ProcessTrace(
-            process=self.process,
+    def trace(self, process: str, **details: Any) -> ProcessTrace:
+        """The phase as one architecture process (also timed in the metrics)."""
+        histogram = self.architecture.metrics.histogram(f"process.{process}.latency")
+        histogram.observe(self.wall)
+        return ProcessTrace(
+            process=process,
             wall_clock_seconds=self.wall,
             simulated_network_seconds=self.latency,
             transactions=self.transactions,
             gas_used=self.gas,
             details=details,
         )
-        histogram = self.architecture.metrics.histogram(f"process.{self.process}.latency")
-        histogram.observe(self.wall)
-        return trace
+
+    def stats(self, index: int, phase: str, label: str,
+              details: Optional[Dict[str, Any]] = None) -> StepStats:
+        """The phase as one step of a scenario run."""
+        return StepStats(
+            index=index,
+            phase=phase,
+            label=label,
+            gas_used=self.gas,
+            transactions=self.transactions,
+            blocks=self.blocks,
+            wall_clock_seconds=self.wall,
+            network_seconds=self.latency,
+            details=details or {},
+        )
 
 
 # -- process 1: pod initiation ----------------------------------------------------------------
@@ -86,9 +139,9 @@ class _Instrumented:
 def pod_initiation(architecture, owner: DataOwner, default_policy: Optional[Policy] = None,
                    subscribers: Optional[list] = None) -> ProcessTrace:
     """Fig. 2.1 — initialize a pod and record it (and its default policy) on-chain."""
-    with _Instrumented(architecture, "pod_initiation") as probe:
+    with PhaseProbe(architecture) as probe:
         pod = owner.initialize_pod(default_policy=default_policy, subscribers=subscribers)
-    return probe.trace(pod_url=pod.base_url, owner=owner.name)
+    return probe.trace("pod_initiation", pod_url=pod.base_url, owner=owner.name)
 
 
 # -- process 2: resource initiation --------------------------------------------------------------
@@ -98,10 +151,11 @@ def resource_initiation(architecture, owner: DataOwner, path: str, content: byte
                         policy: Policy, metadata: Optional[Dict[str, Any]] = None,
                         content_type: str = OCTET_STREAM) -> ProcessTrace:
     """Fig. 2.2 — upload a resource, publish it to the market, and index it on-chain."""
-    with _Instrumented(architecture, "resource_initiation") as probe:
+    with PhaseProbe(architecture) as probe:
         owner.upload_resource(path, content, content_type=content_type)
         resource_id = owner.publish_resource(path, policy, metadata)
-    return probe.trace(resource_id=resource_id, owner=owner.name, size=len(content))
+    return probe.trace("resource_initiation", resource_id=resource_id, owner=owner.name,
+                       size=len(content))
 
 
 # -- process 3: resource indexing -------------------------------------------------------------------
@@ -109,9 +163,10 @@ def resource_initiation(architecture, owner: DataOwner, path: str, content: byte
 
 def resource_indexing(architecture, consumer: DataConsumer, resource_id: str) -> ProcessTrace:
     """Fig. 2.3 — the consumer's TEE reads the resource location and policy from the DE App."""
-    with _Instrumented(architecture, "resource_indexing") as probe:
+    with PhaseProbe(architecture) as probe:
         record = consumer.lookup_resource(resource_id)
     return probe.trace(
+        "resource_indexing",
         resource_id=resource_id,
         consumer=consumer.name,
         location=record.get("location"),
@@ -122,22 +177,23 @@ def resource_indexing(architecture, consumer: DataConsumer, resource_id: str) ->
 # -- process 4: resource access ------------------------------------------------------------------------
 
 
-def resource_access(architecture, consumer: DataConsumer, owner: DataOwner, resource_id: str,
-                    grant_read: bool = True, ensure_certificate: bool = True) -> ProcessTrace:
+def resource_access(architecture, consumer: DataConsumer, owner: DataOwner,
+                    resource_id: str) -> ProcessTrace:
     """Fig. 2.4 — retrieve the resource into the consumer's TEE.
 
     The pod manager checks the ACL and the market-fee certificate before
     serving the resource; the consumer then records the access grant on the
     DE App so later policy updates and monitoring rounds reach its device.
     """
-    with _Instrumented(architecture, "resource_access") as probe:
+    with PhaseProbe(architecture) as probe:
         path = owner.pod_manager.require_pod().path_for(resource_id)
-        if grant_read and not owner.pod_manager.can_access(consumer.webid.iri, AccessMode.READ, path):
+        if not owner.pod_manager.can_access(consumer.webid.iri, AccessMode.READ, path):
             owner.pod_manager.grant_access(consumer.webid.iri, [AccessMode.READ], resource_path=path)
-        if ensure_certificate and resource_id not in consumer.certificates:
+        if resource_id not in consumer.certificates:
             consumer.purchase_certificate(resource_id)
         result = consumer.retrieve_resource(resource_id)
     return probe.trace(
+        "resource_access",
         resource_id=resource_id,
         consumer=consumer.name,
         owner=owner.name,
@@ -151,11 +207,12 @@ def resource_access(architecture, consumer: DataConsumer, owner: DataOwner, reso
 
 def policy_modification(architecture, owner: DataOwner, path: str, new_policy: Policy) -> ProcessTrace:
     """Fig. 2.5 — the owner revises a policy; the change propagates to every copy holder."""
-    with _Instrumented(architecture, "policy_modification") as probe:
+    with PhaseProbe(architecture) as probe:
         owner.update_policy(path, new_policy)
         resource_id = owner.pod_manager.require_pod().url_for(path)
         holders = architecture.dist_exchange_read("get_grants", {"resource_id": resource_id})
     return probe.trace(
+        "policy_modification",
         resource_id=resource_id,
         owner=owner.name,
         new_version=new_policy.version,
@@ -170,9 +227,10 @@ def policy_monitoring(architecture, owner: DataOwner, path: str,
                       coordinator: Optional[MonitoringCoordinator] = None) -> ProcessTrace:
     """Fig. 2.6 — run a full monitoring round and gather evidence from every holder."""
     coordinator = coordinator if coordinator is not None else MonitoringCoordinator(architecture)
-    with _Instrumented(architecture, "policy_monitoring") as probe:
+    with PhaseProbe(architecture) as probe:
         report: MonitoringReport = coordinator.run_round(owner, path)
     return probe.trace(
+        "policy_monitoring",
         resource_id=report.resource_id,
         round_id=report.round_id,
         holders=len(report.holders),
@@ -187,6 +245,6 @@ def policy_monitoring(architecture, owner: DataOwner, path: str,
 
 def market_onboarding(architecture, consumer: DataConsumer) -> ProcessTrace:
     """Register a consumer with the data market (subscription payment)."""
-    with _Instrumented(architecture, "market_onboarding") as probe:
+    with PhaseProbe(architecture) as probe:
         consumer.subscribe_to_market()
-    return probe.trace(consumer=consumer.name)
+    return probe.trace("market_onboarding", consumer=consumer.name)

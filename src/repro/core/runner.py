@@ -12,9 +12,10 @@ conformance suite asserts the two agree.  Divergence means either the
 architecture missed a scripted violation or it penalized an honest actor —
 exactly the regressions the paper's claims forbid.
 
-Every phase (setup and each timeline step) is instrumented with gas,
-transaction, block, and wall-clock deltas (:class:`StepStats`), so
-benchmarks can reuse scenario runs instead of bespoke drivers.
+Every phase (setup and each timeline step) is measured by a
+:class:`~repro.core.processes.PhaseProbe` into gas, transaction, block, and
+wall-clock deltas (:class:`~repro.core.processes.StepStats`), so benchmarks
+can reuse scenario runs instead of bespoke drivers.
 
 :class:`BaselineScenarioRunner` interprets the *same* spec against the
 Solid-only :class:`~repro.core.baseline.BaselineSolidDeployment`, which
@@ -24,7 +25,6 @@ detects nothing — the paper's core comparison, made testable.
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -39,7 +39,9 @@ from repro.core.baseline import BaselineSolidDeployment
 from repro.core.monitoring import MonitoringCoordinator, MonitoringReport
 from repro.core.participants import DataConsumer, DataOwner
 from repro.core.processes import (
+    PhaseProbe,
     ProcessTrace,
+    StepStats,
     market_onboarding,
     pod_initiation,
     policy_modification,
@@ -53,40 +55,11 @@ from repro.core.spec import (
     ENFORCING_BEHAVIORS,
     OFFLINE_FROM_START,
     ParticipantSpec,
-    ResourceSpec,
     ScenarioSpec,
     Step,
 )
 from repro.core.violations import ViolationResponder
 from repro.oracles.pull_in import FAULT_STALE_REPLAY, FAULT_TAMPER
-
-
-@dataclass
-class StepStats:
-    """Resource consumption of one scenario phase (setup group or step)."""
-
-    index: int
-    phase: str
-    label: str
-    gas_used: int = 0
-    transactions: int = 0
-    blocks: int = 0
-    wall_clock_seconds: float = 0.0
-    network_seconds: float = 0.0
-    details: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "label": self.label,
-            "gasUsed": self.gas_used,
-            "transactions": self.transactions,
-            "blocks": self.blocks,
-            "wallClockSeconds": self.wall_clock_seconds,
-            "networkSeconds": self.network_seconds,
-            "details": dict(self.details),
-        }
 
 
 @dataclass(frozen=True)
@@ -160,12 +133,6 @@ class ScenarioResult:
     on_chain_violations: List[Dict[str, Any]] = field(default_factory=list)
     responders: Dict[str, ViolationResponder] = field(default_factory=dict)
     facts: Dict[str, object] = field(default_factory=dict)
-    # Fields of the motivating Alice & Bob scenario, populated by its wrapper.
-    alice_can_still_use_bobs_data: Optional[bool] = None
-    bob_copy_deleted_after_update: Optional[bool] = None
-    bob_use_blocked_after_deletion: Optional[bool] = None
-    alice_resource_id: Optional[str] = None
-    bob_resource_id: Optional[str] = None
 
     def trace_for(self, process: str) -> List[ProcessTrace]:
         return [trace for trace in self.traces if trace.process == process]
@@ -236,44 +203,6 @@ class ScenarioResult:
         if network is None:
             return True
         return not network.liveness_report()["violations"]
-
-
-class _StepProbe:
-    """Capture gas / transaction / block / wall-clock deltas of one phase."""
-
-    def __init__(self, architecture: UsageControlArchitecture):
-        self.architecture = architecture
-
-    def __enter__(self) -> "_StepProbe":
-        chain = self.architecture.node.chain
-        self._wall = time.perf_counter()
-        self._gas = chain.total_gas_used()
-        self._txs = chain.transaction_count()
-        self._height = chain.height
-        self._network = self.architecture.network.total_latency
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        chain = self.architecture.node.chain
-        self.wall = time.perf_counter() - self._wall
-        self.gas = chain.total_gas_used() - self._gas
-        self.transactions = chain.transaction_count() - self._txs
-        self.blocks = chain.height - self._height
-        self.network = self.architecture.network.total_latency - self._network
-
-    def stats(self, index: int, phase: str, label: str,
-              details: Optional[Dict[str, Any]] = None) -> StepStats:
-        return StepStats(
-            index=index,
-            phase=phase,
-            label=label,
-            gas_used=self.gas,
-            transactions=self.transactions,
-            blocks=self.blocks,
-            wall_clock_seconds=self.wall,
-            network_seconds=self.network,
-            details=details or {},
-        )
 
 
 # -- the shadow model ----------------------------------------------------------------
@@ -498,15 +427,12 @@ class ScenarioRunner:
     spec-level draw), so any scenario reproduces from ``spec.seed`` alone.
     """
 
-    def __init__(self, spec: ScenarioSpec, config: Optional[ArchitectureConfig] = None):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec.validate()
-        self.config = config
 
     # -- wiring ---------------------------------------------------------------
 
     def _architecture_config(self) -> Optional[ArchitectureConfig]:
-        if self.config is not None:
-            return self.config
         overrides: Dict[str, Any] = {}
         if self.spec.subscription_fee is not None:
             overrides["subscription_fee"] = self.spec.subscription_fee
@@ -581,7 +507,7 @@ class ScenarioRunner:
                 elif participant.behavior is Behavior.TAMPERING_ORACLE:
                     consumer.pull_in.inject_fault(FAULT_TAMPER)
 
-        with _StepProbe(architecture) as probe:
+        with PhaseProbe(architecture) as probe:
             if spec.setup_cohort is None:
                 for participant in spec.participants:
                     register_participant(participant)
@@ -601,13 +527,13 @@ class ScenarioRunner:
         result.steps.append(probe.stats(len(result.steps), "setup", "setup:participants"))
 
         # -- setup: pods --------------------------------------------------------
-        with _StepProbe(architecture) as probe:
+        with PhaseProbe(architecture) as probe:
             for participant in spec.owners():
                 result.traces.append(pod_initiation(architecture, owners[participant.name]))
         result.steps.append(probe.stats(len(result.steps), "setup", "setup:pods"))
 
         # -- setup: resources ---------------------------------------------------
-        with _StepProbe(architecture) as probe:
+        with PhaseProbe(architecture) as probe:
             for resource in spec.resources:
                 owner = owners[resource.owner]
                 now = architecture.clock.now()
@@ -632,7 +558,7 @@ class ScenarioRunner:
         result.steps.append(probe.stats(len(result.steps), "setup", "setup:resources"))
 
         # -- setup: market onboarding ------------------------------------------
-        with _StepProbe(architecture) as probe:
+        with PhaseProbe(architecture) as probe:
             onboarding = [
                 participant for participant in spec.consumers()
                 if participant.behavior is not Behavior.LATE_PAYER
@@ -668,7 +594,7 @@ class ScenarioRunner:
         )
         for timeline_index, step in enumerate(spec.timeline):
             handler = getattr(self, f"_run_{step.kind}")
-            with _StepProbe(architecture) as probe:
+            with PhaseProbe(architecture) as probe:
                 details = handler(step, timeline_index, context) or {}
             details.setdefault("timelineIndex", timeline_index)
             result.steps.append(
@@ -755,19 +681,8 @@ class ScenarioRunner:
             error = str(exc)
         if predicted:
             ctx.model.on_use(step.participant, step.resource, ctx.architecture.clock.now())
-        if allowed != predicted:
-            ctx.result.mispredictions.append(
-                {
-                    "stepIndex": index,
-                    "kind": "use",
-                    "participant": step.participant,
-                    "resource": step.resource,
-                    "predicted": predicted,
-                    "observed": allowed,
-                    "modelReason": predicted_reason,
-                    "error": error,
-                }
-            )
+        ctx.check_prediction(index, step, predicted, allowed,
+                             modelReason=predicted_reason, error=error)
         return {
             "allowed": allowed,
             "predicted": predicted,
@@ -859,19 +774,8 @@ class ScenarioRunner:
             )
         if step.fact:
             ctx.result.facts[step.fact] = (not allowed) if step.negate else allowed
-        if allowed != predicted:
-            ctx.result.mispredictions.append(
-                {
-                    "stepIndex": index,
-                    "kind": "attempt_access",
-                    "participant": step.participant,
-                    "resource": step.resource,
-                    "predicted": predicted,
-                    "observed": allowed,
-                    "modelReason": predicted_reason,
-                    "error": error,
-                }
-            )
+        ctx.check_prediction(index, step, predicted, allowed,
+                             modelReason=predicted_reason, error=error)
         return {
             "allowed": allowed,
             "predicted": predicted,
@@ -1006,17 +910,7 @@ class ScenarioRunner:
         predicted = ctx.model.holds(step.participant, step.resource)
         if step.fact:
             ctx.result.facts[step.fact] = (not actual) if step.negate else actual
-        if actual != predicted:
-            ctx.result.mispredictions.append(
-                {
-                    "stepIndex": index,
-                    "kind": "check_holds",
-                    "participant": step.participant,
-                    "resource": step.resource,
-                    "predicted": predicted,
-                    "observed": actual,
-                }
-            )
+        ctx.check_prediction(index, step, predicted, actual)
         return {"holds": actual, "predicted": predicted, "fact": step.fact}
 
     def _run_check_can_use(self, step: Step, index: int, ctx: "_RunContext") -> dict:
@@ -1029,17 +923,7 @@ class ScenarioRunner:
         predicted, _ = ctx.model.predict_use(step.participant, step.resource, effective_purpose)
         if step.fact:
             ctx.result.facts[step.fact] = (not actual) if step.negate else actual
-        if actual != predicted:
-            ctx.result.mispredictions.append(
-                {
-                    "stepIndex": index,
-                    "kind": "check_can_use",
-                    "participant": step.participant,
-                    "resource": step.resource,
-                    "predicted": predicted,
-                    "observed": actual,
-                }
-            )
+        ctx.check_prediction(index, step, predicted, actual)
         return {"canUse": actual, "predicted": predicted, "fact": step.fact}
 
 
@@ -1054,6 +938,20 @@ class _RunContext:
     owners: Dict[str, DataOwner]
     consumers: Dict[str, DataConsumer]
     device_of: Dict[str, str]
+
+    def check_prediction(self, index: int, step: Step, predicted: bool, observed: bool,
+                         **extra: Any) -> None:
+        """Record a misprediction when the shadow model disagrees with the run."""
+        if observed != predicted:
+            self.result.mispredictions.append({
+                "stepIndex": index,
+                "kind": step.kind,
+                "participant": step.participant,
+                "resource": step.resource,
+                "predicted": predicted,
+                "observed": observed,
+                **extra,
+            })
 
 
 # -- the Solid-only counterpart -------------------------------------------------------

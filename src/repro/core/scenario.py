@@ -15,33 +15,24 @@ pursuits; the paper requires that:
 The story is expressed declaratively as
 :func:`repro.core.scenario_library.alice_bob_spec` and executed by the
 :class:`~repro.core.runner.ScenarioRunner`; :func:`run_alice_bob_scenario`
-is the convenience wrapper that runs it and surfaces the paper's assertion
-points as attributes (plus the per-process traces and per-phase gas/block
-accounting every scenario run carries).
+is the convenience wrapper that runs it.  The paper's assertion points are
+``result.facts["alice_can_still_use_bobs_data"]``,
+``result.facts["bob_copy_deleted_after_update"]`` and
+``result.facts["bob_use_blocked_after_deletion"]``; the two resources are
+``result.resource_ids["alice:/data/browsing-history.csv"]`` and
+``result.resource_ids["bob:/data/medical-records.ttl"]``.  The result also
+carries the per-process traces and the per-phase gas/block accounting every
+scenario run has.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.architecture import ArchitectureConfig
 from repro.core.runner import ScenarioResult, ScenarioRunner
 from repro.core.scenario_library import alice_bob_spec
 
-ALICE_BROWSING_PATH = "/data/browsing-history.csv"
-BOB_MEDICAL_PATH = "/data/medical-records.ttl"
-
-__all__ = ["ScenarioResult", "run_alice_bob_scenario", "ALICE_BROWSING_PATH", "BOB_MEDICAL_PATH"]
+__all__ = ["ScenarioResult", "run_alice_bob_scenario"]
 
 
-def run_alice_bob_scenario(config: Optional[ArchitectureConfig] = None,
-                           monitor: bool = True) -> ScenarioResult:
+def run_alice_bob_scenario() -> ScenarioResult:
     """Run the full motivating use case and return its observable outcomes."""
-    spec = alice_bob_spec(monitor_rounds=monitor)
-    result = ScenarioRunner(spec, config=config).run()
-    result.alice_resource_id = result.resource_ids[f"alice:{ALICE_BROWSING_PATH}"]
-    result.bob_resource_id = result.resource_ids[f"bob:{BOB_MEDICAL_PATH}"]
-    result.alice_can_still_use_bobs_data = bool(result.facts["alice_can_still_use_bobs_data"])
-    result.bob_copy_deleted_after_update = bool(result.facts["bob_copy_deleted_after_update"])
-    result.bob_use_blocked_after_deletion = bool(result.facts["bob_use_blocked_after_deletion"])
-    return result
+    return ScenarioRunner(alice_bob_spec()).run()

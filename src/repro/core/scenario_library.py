@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.common.clock import DAY, HOUR, MONTH, WEEK
 from repro.core.spec import (
@@ -31,12 +31,10 @@ from repro.core.spec import (
     crash_validator,
     enforce,
     equivocate,
-    fail_validator,
     index,
     join_validator,
     leave_validator,
     monitor,
-    recover_validator,
     restart_validator,
     regrant,
     repurchase_certificate,
@@ -61,7 +59,7 @@ POPULATION_BEHAVIOR_MIX: Mapping[Behavior, float] = {
 }
 
 
-def alice_bob_spec(monitor_rounds: bool = True) -> ScenarioSpec:
+def alice_bob_spec() -> ScenarioSpec:
     """The motivating Alice & Bob use case (Section II) as a declarative spec.
 
     Faithful, step for step, to the original hand-coded driver — the
@@ -71,7 +69,7 @@ def alice_bob_spec(monitor_rounds: bool = True) -> ScenarioSpec:
     """
     alice_res = "alice:/data/browsing-history.csv"
     bob_res = "bob:/data/medical-records.ttl"
-    timeline: List = [
+    timeline = [
         index("alice-app", bob_res),
         index("bob-app", alice_res),
         access("alice-app", bob_res),
@@ -94,9 +92,9 @@ def alice_bob_spec(monitor_rounds: bool = True) -> ScenarioSpec:
         enforce("bob-app"),
         check_holds("bob-app", alice_res, "bob_copy_deleted_after_update", negate=True),
         check_can_use("bob-app", alice_res, "bob_use_blocked_after_deletion", negate=True),
+        monitor(alice_res),
+        monitor(bob_res),
     ]
-    if monitor_rounds:
-        timeline += [monitor(alice_res), monitor(bob_res)]
     return ScenarioSpec(
         name="alice-bob",
         description=(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.blockchain.transaction import LogEntry
-from repro.core.participants import DataOwner, consumer_for_device
+from repro.core.participants import DataOwner
 
 
 @dataclass
@@ -52,19 +52,11 @@ class ViolationResponse:
 class ViolationResponder:
     """Owner-side component reacting to on-chain ``ViolationDetected`` events."""
 
-    def __init__(self, architecture, owner: DataOwner, auto_subscribe: bool = True,
-                 revoke_acl: bool = True, revoke_certificates: bool = True):
+    def __init__(self, architecture, owner: DataOwner):
         self.architecture = architecture
         self.owner = owner
-        self.revoke_acl = revoke_acl
-        self.revoke_certificates = revoke_certificates
         self.responses: List[ViolationResponse] = []
-        if auto_subscribe:
-            self.subscribe()
-
-    def subscribe(self) -> None:
-        """Start listening for violations through the owner's push-out oracle."""
-        self.owner.push_out.subscribe("ViolationDetected", self.handle_violation_event)
+        owner.push_out.subscribe("ViolationDetected", self.handle_violation_event)
 
     # -- event handling -------------------------------------------------------------
 
@@ -99,20 +91,15 @@ class ViolationResponder:
 
         # Identify the consumer behind the offending device (for ACL and
         # certificate revocation); unknown devices only get the grant revoked.
-        consumer = self._consumer_for_device(device_id)
+        consumer = self.architecture.consumer_for_device(device_id)
         if consumer is not None:
             response.consumer_webid = consumer.webid.iri
-            if self.revoke_acl:
-                revoked = self.owner.pod_manager.revoke_access(consumer.webid.iri)
-                response.acl_revoked = revoked > 0
-            if self.revoke_certificates:
-                response.certificates_revoked = self._revoke_certificates(consumer, resource_id)
+            revoked = self.owner.pod_manager.revoke_access(consumer.webid.iri)
+            response.acl_revoked = revoked > 0
+            response.certificates_revoked = self._revoke_certificates(consumer, resource_id)
 
         self.responses.append(response)
         return response
-
-    def _consumer_for_device(self, device_id: str):
-        return consumer_for_device(self.architecture, device_id)
 
     def _revoke_certificates(self, consumer, resource_id: str) -> List[str]:
         """Ask the market operator to revoke the consumer's certificates for the resource."""

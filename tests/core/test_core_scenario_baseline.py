@@ -34,14 +34,14 @@ def test_scenario_initial_exchanges_succeeded(scenario):
 def test_alice_keeps_access_after_bobs_purpose_change(scenario):
     """Bob narrows the purpose to academic pursuits; Alice's medical-research
     application for a university hospital keeps its grant (Section II)."""
-    assert scenario.alice_can_still_use_bobs_data is True
+    assert scenario.facts["alice_can_still_use_bobs_data"] is True
 
 
 def test_alices_data_is_erased_from_bobs_device_after_new_expiry(scenario):
     """Alice shortens retention from one month to one week; after the new
     expiry lapses Bob's TEE erases the copy automatically (Section II)."""
-    assert scenario.bob_copy_deleted_after_update is True
-    assert scenario.bob_use_blocked_after_deletion is True
+    assert scenario.facts["bob_copy_deleted_after_update"] is True
+    assert scenario.facts["bob_use_blocked_after_deletion"] is True
 
 
 def test_scenario_monitoring_rounds_are_compliant(scenario):
@@ -108,4 +108,4 @@ def test_baseline_access_control_still_applies():
 def test_architecture_closes_the_baseline_gap(scenario):
     """The same story that leaves a stale copy in the baseline ends with the
     copy erased under the usage-control architecture."""
-    assert scenario.bob_copy_deleted_after_update is True
+    assert scenario.facts["bob_copy_deleted_after_update"] is True

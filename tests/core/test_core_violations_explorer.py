@@ -87,7 +87,7 @@ def test_responder_ignores_other_owners_resources(violation_setup):
 
 def test_responder_handles_unknown_devices(violation_setup):
     architecture, owner, _, resource_id = violation_setup
-    responder = ViolationResponder(architecture, owner, auto_subscribe=False)
+    responder = ViolationResponder(architecture, owner)
     response = responder.respond(resource_id, "ghost-device", details="manual report")
     assert not response.grant_revoked  # no such grant existed
     assert response.consumer_webid is None

@@ -1,11 +1,13 @@
-"""Batched monitoring rounds: equivalence with the per-transaction flow.
+"""Batched monitoring rounds: one consistent record per device, in constant blocks.
 
-The batched coordinator must be an *optimization only*: the report it
-assembles and the on-chain record it leaves (monitoring round state,
-evidence lists, violations, per-device events) must be identical to the
-transaction-per-device flow.  These tests run both flows on twin
-deployments and compare, and pin that a batched round seals a small
-constant number of blocks.
+A round enqueues every holder's evidence request in one transaction,
+confirms the devices' fulfillments in one block and records the evidence in
+one batch transaction.  These tests pin that the report the coordinator
+assembles agrees, device by device, with what the round left on-chain and
+with what the owner was told, and that a round seals a small constant
+number of blocks.  The sharded equivalence test
+(``test_monitoring_sharded.py``) and the shadow-model conformance suite
+(``tests/scenarios``) are the references for the round itself.
 """
 
 import pytest
@@ -45,60 +47,43 @@ def build_deployment(retention_seconds=MONTH):
     return architecture, owner, resource_id
 
 
-def normalize(value):
-    """Strip per-run randomness from evidence payloads.
-
-    Duty identifiers are fresh UUIDs on every run (and ``evidenceId`` /
-    ``signature`` are derived from them), so even two identical sequential
-    runs differ in these fields; equivalence is judged on everything else.
-    """
-    if isinstance(value, dict):
-        return {
-            key: len(item) if key == "pendingDuties" else normalize(item)
-            for key, item in value.items()
-            if key not in ("evidenceId", "signature")
-        }
-    if isinstance(value, list):
-        return [normalize(item) for item in value]
-    return value
-
-
-def on_chain_record(architecture, resource_id, round_id):
-    return normalize({
-        "round": architecture.dist_exchange_read("get_monitoring_round", {"round_id": round_id}),
-        "evidence": architecture.dist_exchange_read("get_evidence", {"resource_id": resource_id}),
-        "violations": architecture.dist_exchange_read("get_violations", {"resource_id": resource_id}),
-        "events": [
-            log.data
-            for log in architecture.node.get_logs(
-                address=architecture.dist_exchange_address, event="EvidenceRecorded"
-            )
-        ],
-    })
-
-
 @pytest.mark.parametrize("retention", [MONTH, WEEK], ids=["compliant", "violating"])
-def test_batched_round_equals_sequential_round(retention):
-    """Same reports and identical on-chain records, compliant or not."""
-    arch_batched, owner_b, resource_b = build_deployment(retention)
-    arch_sequential, owner_s, resource_s = build_deployment(retention)
+def test_round_verdicts_agree_with_the_on_chain_record(retention):
+    """Report, evidence list, violations, events and notifications agree per device."""
+    architecture, owner, resource_id = build_deployment(retention)
     if retention == WEEK:
         # Let the retention lapse without enforcement: every device violates.
-        arch_batched.advance_time(2 * WEEK)
-        arch_sequential.advance_time(2 * WEEK)
+        architecture.advance_time(2 * WEEK)
 
-    batched = MonitoringCoordinator(arch_batched, batched=True).run_round(owner_b, PATH)
-    sequential = MonitoringCoordinator(arch_sequential, batched=False).run_round(owner_s, PATH)
+    report = MonitoringCoordinator(architecture).run_round(owner, PATH)
 
-    assert normalize(batched.to_dict()) == normalize(sequential.to_dict())
-    assert normalize(batched.evidence) == normalize(sequential.evidence)
-    assert on_chain_record(arch_batched, resource_b, batched.round_id) == on_chain_record(
-        arch_sequential, resource_s, sequential.round_id
-    )
-    # The owner's pod manager received the same evidence notifications.
-    assert [normalize(log.data) for log in owner_b.evidence_for(resource_b)] == [
-        normalize(log.data) for log in owner_s.evidence_for(resource_s)
+    assert report.holders == sorted(DEVICES)
+    verdicts = {device: device in report.compliant_devices for device in report.holders}
+    assert set(verdicts.values()) == {retention == MONTH}
+    assert sorted(report.compliant_devices + report.non_compliant_devices) == report.holders
+
+    evidence = architecture.dist_exchange_read("get_evidence", {"resource_id": resource_id})
+    violations = architecture.dist_exchange_read("get_violations", {"resource_id": resource_id})
+    events = [
+        log.data
+        for log in architecture.node.get_logs(
+            address=architecture.dist_exchange_address, event="EvidenceRecorded")
     ]
+    notifications = [log.data for log in owner.evidence_for(resource_id)]
+    assert report.violations == violations
+    assert notifications == events
+    for device, compliant in verdicts.items():
+        assert report.evidence[device]["compliant"] is compliant
+        details = report.evidence[device].get("details", "non-compliant evidence")
+        assert [entry["evidence"] for entry in evidence
+                if entry["device_id"] == device and entry["round_id"] == report.round_id
+                ] == [report.evidence[device]]
+        assert [violation["details"] for violation in violations
+                if violation["device_id"] == device
+                ] == ([] if compliant else [details])
+        assert [(event["round_id"], event["resource_id"], event["compliant"])
+                for event in events if event["device_id"] == device
+                ] == [(report.round_id, resource_id, compliant)]
 
 
 def test_batched_round_seals_a_constant_number_of_blocks():
@@ -109,10 +94,6 @@ def test_batched_round_seals_a_constant_number_of_blocks():
     blocks = architecture.node.chain.height - height_before
     assert len(report.holders) == len(DEVICES)
     assert blocks <= 5
-    # The sequential flow needs transactions (and blocks) per device.
-    height_before = architecture.node.chain.height
-    MonitoringCoordinator(architecture, batched=False).run_round(owner, PATH)
-    assert architecture.node.chain.height - height_before > blocks
 
 
 def test_round_id_comes_from_wiring_not_log_scan():

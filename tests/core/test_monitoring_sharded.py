@@ -33,7 +33,6 @@ from repro.core.processes import (
     resource_initiation,
 )
 from repro.core.architecture import UsageControlArchitecture
-from repro.core.participants import consumer_for_device
 from repro.core.runner import ScenarioRunner
 from repro.core.scenario_library import population_spec
 from repro.core.spec import ScenarioSpec
@@ -113,7 +112,7 @@ def test_sharded_round_equals_in_process_round(retention, fault):
         arch_inline.advance_time(2 * WEEK)
     if fault is not None:
         for architecture in (arch_sharded, arch_inline):
-            consumer_for_device(architecture, FAULTY_DEVICE).pull_in.inject_fault(fault)
+            architecture.consumer_for_device(FAULTY_DEVICE).pull_in.inject_fault(fault)
 
     coordinator = MonitoringCoordinator(arch_sharded, workers=2)
     sharded = coordinator.run_round(owner_w, PATH)
@@ -192,7 +191,7 @@ def test_worker_failure_raises_its_traceback_instead_of_running_in_process(monke
     def broken_provider(payload):
         raise RuntimeError("enclave evidence unavailable")
 
-    consumer_for_device(architecture, DEVICES[-1]).pull_in.register_provider(
+    architecture.consumer_for_device(DEVICES[-1]).pull_in.register_provider(
         "usage_evidence", broken_provider)
     served = []
     serve_request = PullInOracle.serve_request

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ContractError, SignatureError
+from repro.common.errors import ContractError, SignatureError, ValidationError
 from repro.blockchain.crypto import KeyPair
 from repro.oracles.base import BlockchainInteractionModule
 from repro.oracles.pull_in import PullInOracle
@@ -45,6 +45,27 @@ def test_interaction_module_deploys_and_transacts(operator_module):
 def test_interaction_module_raises_on_revert(operator_module, de_app):
     with pytest.raises(ContractError):
         operator_module.call_contract(de_app, "get_pod", {"pod_url": "https://missing"})
+
+
+def test_chunked_call_splits_into_bounded_transactions_sealed_in_one_block(
+        operator_module, node, hub):
+    requests = [{"kind": "usage_evidence", "payload": {"n": n}, "target": f"dev-{n}"}
+                for n in range(5)]
+    height_before = node.chain.height
+    spent_before = operator_module.gas_spent
+    receipts = operator_module.call_contract_chunked(
+        hub, "create_requests", "requests", requests, chunk_size=2)
+    assert [len(receipt.return_value) for receipt in receipts] == [2, 2, 1]
+    assert node.chain.height == height_before + 1
+    assert {receipt.block_number for receipt in receipts} == {node.chain.height}
+    request_ids = [request_id for receipt in receipts for request_id in receipt.return_value]
+    assert request_ids == list(range(request_ids[0], request_ids[0] + 5))
+    assert [operator_module.read(hub, "get_request", {"request_id": request_id})["target"]
+            for request_id in request_ids] == [f"dev-{n}" for n in range(5)]
+    assert operator_module.gas_spent - spent_before == sum(r.gas_used for r in receipts)
+    with pytest.raises(ValidationError):
+        operator_module.call_contract_chunked(
+            hub, "create_requests", "requests", requests, chunk_size=0)
 
 
 def test_interaction_module_requires_matching_key(node, de_app):

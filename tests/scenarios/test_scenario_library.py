@@ -1,5 +1,7 @@
 """The named scenario catalog: every story runs and its ledger closes."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.runner import ScenarioRunner
@@ -221,7 +223,9 @@ def test_alice_bob_spec_reproduces_the_pinned_run(library_results):
 
 
 def test_alice_bob_spec_without_monitoring_has_no_rounds():
-    spec = alice_bob_spec(monitor_rounds=False)
+    spec = alice_bob_spec()
+    spec = dataclasses.replace(
+        spec, timeline=tuple(step for step in spec.timeline if step.kind != "monitor"))
     result = ScenarioRunner(spec).run()
     assert result.monitoring_reports == []
     assert result.facts["bob_copy_deleted_after_update"] is True
